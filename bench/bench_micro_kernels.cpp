@@ -41,8 +41,9 @@ BENCHMARK(BM_XorwowNext);
 
 void BM_ZipfSample(benchmark::State& state) {
     rng::Xoshiro256Plus rng(2);
-    rng::ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)), 0.99);
-    for (auto _ : state) benchmark::DoNotOptimize(zipf(rng));
+    const auto n = static_cast<std::uint64_t>(state.range(0));
+    const rng::ZipfTable zipf(n, 0.99);
+    for (auto _ : state) benchmark::DoNotOptimize(zipf(n, rng));
 }
 BENCHMARK(BM_ZipfSample)->Arg(100)->Arg(100000);
 

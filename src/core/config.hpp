@@ -41,7 +41,8 @@ struct LayoutConfig {
     /// (Alg. 1 line 6).
     double cooling_start = 0.5;
 
-    /// Exponent of the Zipf hop-distance distribution in the cooling branch.
+    /// Exponent of the Zipf hop-distance distribution in the cooling branch;
+    /// must be finite and > 0 (rng::check_zipf_theta).
     double zipf_theta = 0.99;
 
     /// Largest hop distance the cooling branch may draw. 0 means "path

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "rng/zipf.hpp"
+
 namespace pgl::core {
 
 namespace {
@@ -82,6 +84,7 @@ bool apply_canonical_field(LayoutConfig& cfg, std::string_view name,
         cfg.zipf_space_max = parse_number<std::uint64_t>(name, value);
     } else if (name == "zipf_theta") {
         cfg.zipf_theta = parse_number<double>(name, value);
+        rng::check_zipf_theta(cfg.zipf_theta);
     } else {
         return false;
     }

@@ -25,6 +25,12 @@
 
 namespace pgl::core {
 
+/// Version of what a seeded layout run writes. Bump it with every change
+/// that alters the output bytes for an unchanged config (sampler stream,
+/// update arithmetic), so keys built over canonical_config never address
+/// artifacts an older build produced. 2: table-driven Zipf hop sampler.
+inline constexpr unsigned kLayoutAlgorithmVersion = 2;
+
 /// The canonical `name=value;...` rendering of every output-affecting
 /// LayoutConfig field.
 std::string canonical_config(const LayoutConfig& cfg);

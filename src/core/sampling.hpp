@@ -45,20 +45,14 @@ inline std::uint64_t endpoint_path_position(std::uint64_t step_pos,
 
 class PairSampler {
 public:
-    PairSampler(const graph::LeanGraph& g, const LayoutConfig& cfg) : g_(&g), cfg_(cfg) {
+    /// Throws std::invalid_argument unless cfg.zipf_theta is finite and > 0.
+    PairSampler(const graph::LeanGraph& g, const LayoutConfig& cfg)
+        : g_(&g), zipf_(hop_space_max(g, cfg), cfg.zipf_theta) {
         std::vector<double> weights(g.path_count());
         for (std::uint32_t p = 0; p < g.path_count(); ++p) {
             weights[p] = static_cast<double>(g.path_step_count(p));
         }
         path_alias_.build(weights);
-        zipf_.reserve(g.path_count());
-        for (std::uint32_t p = 0; p < g.path_count(); ++p) {
-            std::uint64_t space = g.path_step_count(p) > 1 ? g.path_step_count(p) - 1 : 1;
-            if (cfg.zipf_space_max > 0 && space > cfg.zipf_space_max) {
-                space = cfg.zipf_space_max;
-            }
-            zipf_.emplace_back(space, cfg.zipf_theta);
-        }
     }
 
     const graph::LeanGraph& graph() const noexcept { return *g_; }
@@ -91,7 +85,7 @@ public:
         if (cooling) {
             // Zipf-distributed hop in a random direction, reflected at the
             // path ends so every step can reach a partner.
-            const std::uint64_t hop = zipf_[t.path](rng);
+            const std::uint64_t hop = zipf_(hop_space(n_steps), rng);
             std::int64_t j = static_cast<std::int64_t>(t.step_i);
             j += rng.flip_coin() ? static_cast<std::int64_t>(hop)
                                  : -static_cast<std::int64_t>(hop);
@@ -157,10 +151,32 @@ public:
                                     TermBatch& out) const;
 
 private:
+    /// The largest hop space of any path: steps - 1, capped by
+    /// zipf_space_max when that is nonzero, and at least 1.
+    static std::uint64_t hop_space_max(const graph::LeanGraph& g,
+                                       const LayoutConfig& cfg) {
+        std::uint64_t space = 1;
+        for (std::uint32_t p = 0; p < g.path_count(); ++p) {
+            const std::uint64_t n = g.path_step_count(p);
+            if (n > space + 1) space = n - 1;
+        }
+        if (cfg.zipf_space_max > 0 && space > cfg.zipf_space_max) {
+            space = cfg.zipf_space_max;
+        }
+        return space;
+    }
+
+    /// Hop space of a path of `n_steps` >= 2 steps. Capping by the table
+    /// size equals capping by zipf_space_max: the table is exactly as large
+    /// as the longest capped space.
+    std::uint64_t hop_space(std::uint32_t n_steps) const noexcept {
+        const std::uint64_t space = n_steps - 1;
+        return space < zipf_.max_n() ? space : zipf_.max_n();
+    }
+
     const graph::LeanGraph* g_;
-    LayoutConfig cfg_;
     rng::AliasTable path_alias_;
-    std::vector<rng::ZipfSampler> zipf_;
+    rng::ZipfTable zipf_;
 };
 
 }  // namespace pgl::core

@@ -192,7 +192,7 @@ std::uint64_t PairSampler::fill_batch_staged(bool cooling_iter, Rng& rng,
             if (cooling_iter || rng.flip_coin()) {
                 // Zipf-distributed hop in a random direction, reflected at
                 // the path ends so every step can reach a partner.
-                const std::uint64_t hop = zipf_[path](rng);
+                const std::uint64_t hop = zipf_(hop_space(n_steps), rng);
                 std::int64_t j = static_cast<std::int64_t>(step_i);
                 j += rng.flip_coin() ? static_cast<std::int64_t>(hop)
                                      : -static_cast<std::int64_t>(hop);

@@ -204,7 +204,10 @@ RunOutcome run_layout(const RunRequest& req) {
 
     if (req.compute_stress) {
         telemetry::StageSpan span("metrics", "cli");
-        out.stress = metrics::sampled_path_stress(g, out.layout);
+        // Per-path streams merged in path order: the value is the same at
+        // any thread count, so the metric uses the run's (clamped) threads.
+        out.stress = metrics::sampled_path_stress(g, out.layout, 100.0, 42,
+                                                  cfg.threads);
         out.stress_computed = true;
     }
     return out;

@@ -7,7 +7,10 @@
 // rendered as 32 hex digits. For a .pgg graph the first half IS the
 // trailing FNV-1a checksum the format already carries (read from the last
 // 8 bytes — no re-hash of a multi-gigabyte cache file); any other input
-// is hashed in full. Deterministic backends produce byte-identical .lay
+// is hashed in full. The canonical request carries
+// core::kLayoutAlgorithmVersion, so a daemon restarted on an existing cache
+// directory by a build whose seeded bytes differ misses instead of serving
+// the older build's artifacts as current. Deterministic backends produce byte-identical .lay
 // files for a fixed key, so a hit can be served without touching an
 // engine — and is byte-identical to what a fresh run would write.
 //

@@ -184,8 +184,16 @@ private:
     JsonValue parse_value() {
         skip_ws();
         switch (peek()) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{':
+            case '[': {
+                if (++depth_ > kJsonMaxDepth) {
+                    fail("nesting deeper than " +
+                         std::to_string(kJsonMaxDepth) + " levels");
+                }
+                JsonValue v = peek() == '{' ? parse_object() : parse_array();
+                --depth_;
+                return v;
+            }
             case '"': return JsonValue(parse_string());
             case 't':
                 if (!consume_literal("true")) fail("bad literal");
@@ -332,6 +340,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -7,6 +7,7 @@
 // trailing commas, no NaN/Infinity). Numbers are held as double plus the
 // is_integer flag so u64 seeds survive exactly when they fit in 2^53 and
 // the protocol can reject fractional values where integers are required.
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -84,9 +85,15 @@ private:
     std::shared_ptr<JsonObject> obj_;
 };
 
+/// Deepest array/object nesting json_parse accepts. The parser recurses
+/// once per level, so without a bound one line of '[' could exhaust the
+/// parsing thread's stack; no protocol message nests beyond a few levels.
+inline constexpr std::size_t kJsonMaxDepth = 128;
+
 /// Parses exactly one JSON document from `text` (trailing whitespace
 /// allowed, anything else after the document is an error). Throws
-/// std::runtime_error with a byte offset on malformed input.
+/// std::runtime_error with a byte offset on malformed input, including
+/// nesting deeper than kJsonMaxDepth.
 JsonValue json_parse(const std::string& text);
 
 /// JSON string escaping (quotes included), shared by dump() and ad-hoc

@@ -5,6 +5,7 @@
 
 #include "core/config_canon.hpp"
 #include "core/topology.hpp"
+#include "rng/zipf.hpp"
 
 namespace pgl::serve {
 
@@ -51,6 +52,7 @@ JobRequest parse_request(const JsonValue& submit) {
                 r.config.cooling_start = v.as_double();
             } else if (key == "zipf_theta") {
                 r.config.zipf_theta = v.as_double();
+                rng::check_zipf_theta(r.config.zipf_theta);
             } else if (key == "zipf_space_max") {
                 r.config.zipf_space_max = v.as_uint();
             } else if (key == "threads") {
@@ -144,7 +146,9 @@ JsonValue request_to_json(const JobRequest& r) {
 std::string canonical_request(const JobRequest& r) {
     std::string s;
     s.reserve(320);
-    s += "backend=";
+    s += "algorithm=";
+    s += std::to_string(core::kLayoutAlgorithmVersion);
+    s += ";backend=";
     s += r.backend;
     s += ';';
     s += core::canonical_config(r.config);

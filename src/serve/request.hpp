@@ -44,7 +44,8 @@ JobRequest parse_request(const JsonValue& submit);
 JsonValue request_to_json(const JobRequest& r);
 
 /// The canonical `name=value;...` string over every output-selecting field
-/// (backend + core canonical_config + partition + multilevel options).
+/// (the layout algorithm version + backend + core canonical_config +
+/// partition + multilevel options).
 /// Stable under wire field reordering and default-vs-explicit spelling.
 std::string canonical_request(const JobRequest& r);
 

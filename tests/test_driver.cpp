@@ -16,10 +16,12 @@
 #include <vector>
 
 #include "driver/driver.hpp"
+#include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
 #include "io/lay_io.hpp"
 #include "partition/executor.hpp"
 #include "partition/partition.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace {
 
@@ -198,6 +200,43 @@ TEST_F(DriverTest, ComponentProgressReachesPartitionedRuns) {
     EXPECT_EQ(seen.size(), 3u);
 }
 
+TEST_F(DriverTest, StressMetricIsThreadInvariant) {
+    // The driver computes the metric with the run's thread count; per-path
+    // streams merged in path order make it bit-identical to one thread.
+    workloads::PangenomeSpec spec;
+    spec.backbone_nodes = 400;
+    spec.n_paths = 12;
+    const std::string gfa = path("many_paths.gfa");
+    graph::write_gfa_file(workloads::generate_pangenome(spec), gfa);
+
+    const auto run = [&](std::uint32_t threads) {
+        driver::RunRequest req;
+        req.graph_path = gfa;
+        req.config = quick_config();
+        req.config.threads = threads;
+        req.compute_stress = true;
+        return driver::run_layout(req);
+    };
+    const auto one = run(1);
+    const auto four = run(4);
+    ASSERT_TRUE(one.stress_computed);
+    ASSERT_TRUE(four.stress_computed);
+    // Same metric over each run's layout, recomputed at the other count.
+    const auto g = graph::ingest_gfa_file(gfa).graph;
+    for (const auto* out : {&one, &four}) {
+        const auto at1 = metrics::sampled_path_stress(g, out->layout, 100.0, 42, 1);
+        const auto at4 = metrics::sampled_path_stress(g, out->layout, 100.0, 42, 4);
+        EXPECT_GT(out->stress.terms, 0u);
+        EXPECT_EQ(out->stress.terms, at1.terms);
+        EXPECT_EQ(out->stress.value, at1.value);
+        EXPECT_EQ(out->stress.ci_low, at1.ci_low);
+        EXPECT_EQ(out->stress.ci_high, at1.ci_high);
+        EXPECT_EQ(at4.value, at1.value);
+        EXPECT_EQ(at4.ci_low, at1.ci_low);
+        EXPECT_EQ(at4.ci_high, at1.ci_high);
+    }
+}
+
 TEST(WorkerSpec, RoundTripsFlatOptions) {
     partition::SchedulerOptions opt;
     opt.backend = "cpu-pipelined";
@@ -248,6 +287,19 @@ TEST(WorkerSpec, RoundTripsMultilevelOptions) {
 TEST(WorkerSpec, RejectsUnknownFields) {
     EXPECT_THROW(partition::parse_worker_spec("backend=cpu-soa;bogus=1;"),
                  std::invalid_argument);
+}
+
+TEST(WorkerSpec, RejectsUnusableZipfTheta) {
+    // from_chars accepts "nan" and "inf"; neither (nor theta <= 0) may
+    // reach the hop sampler's table.
+    for (const char* theta : {"nan", "inf", "-inf", "0", "-0.5"}) {
+        EXPECT_THROW(partition::parse_worker_spec(std::string("zipf_theta=") +
+                                                  theta + ";"),
+                     std::invalid_argument)
+            << theta;
+    }
+    EXPECT_EQ(partition::parse_worker_spec("zipf_theta=1.5;").config.zipf_theta,
+              1.5);
 }
 
 }  // namespace

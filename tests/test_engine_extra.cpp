@@ -2,7 +2,9 @@
 // predicates, sampler distribution properties and GPU-sim edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/cpu_engine.hpp"
 #include "core/sampling.hpp"
@@ -136,6 +138,38 @@ TEST(PairSampler, ZipfSpaceMaxBoundsHops) {
                                              : t.step_j - t.step_i;
         // Reflection at path ends can shorten but never lengthen a hop.
         ASSERT_LE(hop, 8u);
+    }
+}
+
+TEST(PairSampler, UnboundedZipfSpaceSpansTheLongestPath) {
+    // zipf_space_max = 0 sizes the shared hop table to the longest path,
+    // so hops reach past the default cap of 1000 steps.
+    const auto g = mk_graph(4000, 1);
+    const std::uint32_t n_steps = g.path_step_count(0);
+    ASSERT_GT(n_steps, 2000u);
+    core::LayoutConfig cfg;
+    cfg.zipf_space_max = 0;
+    const core::PairSampler sampler(g, cfg);
+    rng::Xoshiro256Plus rng(5);
+    std::uint32_t longest = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const auto t = sampler.sample(true, rng);
+        if (!t.valid) continue;
+        const auto hop = t.step_i > t.step_j ? t.step_i - t.step_j
+                                             : t.step_j - t.step_i;
+        ASSERT_LT(hop, n_steps);
+        longest = std::max(longest, hop);
+    }
+    EXPECT_GT(longest, 1000u);
+}
+
+TEST(PairSampler, RejectsUnusableZipfTheta) {
+    const auto g = mk_graph(100, 2);
+    for (const double theta : {std::nan(""), HUGE_VAL, 0.0, -1.0}) {
+        core::LayoutConfig cfg;
+        cfg.zipf_theta = theta;
+        EXPECT_THROW(core::PairSampler(g, cfg), std::invalid_argument)
+            << theta;
     }
 }
 

@@ -2,6 +2,9 @@
 // each of the paper's three optimizations, and the time model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/cpu_engine.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
@@ -31,11 +34,12 @@ core::LayoutConfig small_cfg() {
 }
 
 GpuSimResult run(const graph::LeanGraph& g, const KernelConfig& k,
-                 const gpusim::GpuSpec& spec = gpusim::rtx_a6000()) {
+                 const gpusim::GpuSpec& spec = gpusim::rtx_a6000(),
+                 const core::LayoutConfig& cfg = small_cfg()) {
     SimOptions opt;
     opt.counter_sample_period = 4;
     opt.cache_scale = 0.001;
-    return gpusim::simulate_gpu_layout(g, small_cfg(), k, spec, opt);
+    return gpusim::simulate_gpu_layout(g, cfg, k, spec, opt);
 }
 
 TEST(GpuSpecs, PresetsMatchPublishedNumbers) {
@@ -146,15 +150,28 @@ TEST(GpuSim, DataReuseTradesQualityForSpeed) {
     KernelConfig reuse = base;
     reuse.data_reuse_factor = 8;
     reuse.step_reduction_factor = 2.5;
-    const auto r_base = run(g, base);
-    const auto r_reuse = run(g, reuse);
-    // Fewer steps -> less modeled time.
-    EXPECT_LT(r_reuse.modeled_seconds, r_base.modeled_seconds);
+    // Quality is compared as the median over several layout seeds: the
+    // stress of one short run is heavy-tailed enough that a single pair of
+    // runs orders the wrong way for about one seed in five.
+    std::vector<double> s_base, s_reuse;
+    for (std::uint64_t seed = 1; seed <= 7; ++seed) {
+        core::LayoutConfig cfg = small_cfg();
+        cfg.seed = seed;
+        const auto r_base = run(g, base, gpusim::rtx_a6000(), cfg);
+        const auto r_reuse = run(g, reuse, gpusim::rtx_a6000(), cfg);
+        // Fewer steps -> less modeled time.
+        EXPECT_LT(r_reuse.modeled_seconds, r_base.modeled_seconds);
+        s_base.push_back(
+            metrics::sampled_path_stress(g, r_base.layout, 20, 1).value);
+        s_reuse.push_back(
+            metrics::sampled_path_stress(g, r_reuse.layout, 20, 1).value);
+    }
     // Aggressive reuse costs layout quality (Fig. 17: DRF 8 is "poor").
-    const double s_base = metrics::sampled_path_stress(g, r_base.layout, 20, 1).value;
-    const double s_reuse =
-        metrics::sampled_path_stress(g, r_reuse.layout, 20, 1).value;
-    EXPECT_GT(s_reuse, s_base);
+    const auto median = [](std::vector<double> v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+    };
+    EXPECT_GT(median(s_reuse), median(s_base));
 }
 
 TEST(GpuSim, TimeModelMonotonicInDramTraffic) {

@@ -2,10 +2,12 @@
 // sampler and the alias table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "rng/alias_table.hpp"
@@ -132,11 +134,33 @@ TEST(Xorwow, BoundedStaysInRange) {
     }
 }
 
+// Exact normalized 1/k^theta mass of k in [1, n].
+double zipf_mass(std::uint64_t k, std::uint64_t n, double theta) {
+    double z = 0;
+    for (std::uint64_t i = 1; i <= n; ++i) z += std::pow(i, -theta);
+    return std::pow(k, -theta) / z;
+}
+
+// Draws `draws` variates on [1, n] from `zipf` and compares each
+// frequency against the analytic mass.
+void expect_analytic_mass(const ZipfTable& zipf, std::uint64_t n, double theta,
+                          std::uint64_t seed) {
+    Xoshiro256Plus rng(seed);
+    std::map<std::uint64_t, int> counts;
+    const int draws = 400000;
+    for (int i = 0; i < draws; ++i) counts[zipf(n, rng)]++;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+        const double got = counts[k] / static_cast<double>(draws);
+        EXPECT_NEAR(got, zipf_mass(k, n, theta), 0.01) << "k=" << k;
+    }
+    EXPECT_EQ(counts.size(), n);  // nothing drawn outside [1, n]
+}
+
 TEST(Zipf, AlwaysInRange) {
     Xoshiro256Plus rng(31);
-    ZipfSampler zipf(1000, 0.99);
+    const ZipfTable zipf(1000, 0.99);
     for (int i = 0; i < 50000; ++i) {
-        const std::uint64_t k = zipf(rng);
+        const std::uint64_t k = zipf(1000, rng);
         ASSERT_GE(k, 1u);
         ASSERT_LE(k, 1000u);
     }
@@ -144,39 +168,92 @@ TEST(Zipf, AlwaysInRange) {
 
 TEST(Zipf, SingleElementDomain) {
     Xoshiro256Plus rng(32);
-    ZipfSampler zipf(1, 0.99);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf(rng), 1u);
+    const ZipfTable one(1, 0.99);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(one(1, rng), 1u);
+    // A one-hop space of a larger table is also a constant — and, like
+    // the table of one, consumes no randomness.
+    const ZipfTable big(1000, 0.99);
+    Xoshiro256Plus a(32), b(32);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(big(1, a), 1u);
+    EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Zipf, MatchesAnalyticMassForSmallN) {
-    // Compare empirical frequencies against the exact normalized 1/k^theta
-    // mass for a small domain.
     const double theta = 0.99;
-    const std::uint64_t n = 10;
-    double z = 0;
-    for (std::uint64_t k = 1; k <= n; ++k) z += std::pow(k, -theta);
+    expect_analytic_mass(ZipfTable(10, theta), 10, theta, 33);
+}
 
-    Xoshiro256Plus rng(33);
-    ZipfSampler zipf(n, theta);
-    std::map<std::uint64_t, int> counts;
-    const int draws = 400000;
-    for (int i = 0; i < draws; ++i) counts[zipf(rng)]++;
-    for (std::uint64_t k = 1; k <= n; ++k) {
-        const double expected = std::pow(k, -theta) / z;
-        const double got = counts[k] / static_cast<double>(draws);
-        EXPECT_NEAR(got, expected, 0.01) << "k=" << k;
+TEST(Zipf, TruncatedSpaceMatchesAnalyticMass) {
+    // A path whose space n is below the shared table's N draws from the
+    // table's prefix and must follow the mass renormalized over [1, n].
+    const double theta = 0.99;
+    const ZipfTable zipf(1000, theta);
+    for (const std::uint64_t n : {2u, 7u, 37u}) {
+        SCOPED_TRACE(n);
+        expect_analytic_mass(zipf, n, theta, 37 + n);
     }
 }
 
 TEST(Zipf, HeavierHeadWithLargerTheta) {
     Xoshiro256Plus rng(34);
-    ZipfSampler flat(1000, 0.2), steep(1000, 2.0);
+    const ZipfTable flat(1000, 0.2), steep(1000, 2.0);
     std::uint64_t ones_flat = 0, ones_steep = 0;
     for (int i = 0; i < 50000; ++i) {
-        ones_flat += flat(rng) == 1;
-        ones_steep += steep(rng) == 1;
+        ones_flat += flat(1000, rng) == 1;
+        ones_steep += steep(1000, rng) == 1;
     }
     EXPECT_GT(ones_steep, ones_flat * 2);
+}
+
+TEST(Zipf, GuidedInverseMatchesUpperBound) {
+    // The guide table only chooses where the scan starts; the answer must
+    // be exactly the first cdf entry above u over [0, n), clamped to n —
+    // at every cdf entry, one ulp either side of it, and at random points.
+    for (const double theta : {0.2, 0.99, 1.0, 2.0, 7.5}) {
+        for (const std::uint64_t max_n : {1u, 2u, 3u, 10u, 1000u}) {
+            const ZipfTable zipf(max_n, theta);
+            std::vector<double> cdf;
+            double sum = 0;
+            for (std::uint64_t k = 1; k <= max_n; ++k) {
+                sum += std::pow(static_cast<double>(k), -theta);
+                cdf.push_back(sum);
+                ASSERT_EQ(zipf.total(k), sum);
+            }
+            const double top = cdf.back();
+            Xoshiro256Plus rng(38);
+            for (const std::uint64_t n :
+                 {std::uint64_t{1}, (max_n + 1) / 2, max_n}) {
+                const auto oracle = [&](double u) {
+                    const auto it =
+                        std::upper_bound(cdf.begin(), cdf.begin() + n, u);
+                    const auto k =
+                        static_cast<std::uint64_t>(it - cdf.begin()) + 1;
+                    return std::min(k, n);
+                };
+                std::vector<double> probes{0.0};
+                for (const double c : cdf) {
+                    probes.push_back(c);
+                    probes.push_back(std::nextafter(c, 0.0));
+                    if (c < top) probes.push_back(std::nextafter(c, top * 2));
+                }
+                for (int i = 0; i < 2000; ++i) {
+                    probes.push_back(rng.next_double() * zipf.total(n));
+                }
+                for (const double u : probes) {
+                    ASSERT_EQ(zipf.invert(u, n), oracle(u))
+                        << "theta=" << theta << " max_n=" << max_n
+                        << " n=" << n << " u=" << u;
+                }
+            }
+        }
+    }
+}
+
+TEST(Zipf, RejectsInvalidTheta) {
+    for (const double theta :
+         {0.0, -1.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        EXPECT_THROW(ZipfTable(10, theta), std::invalid_argument) << theta;
+    }
 }
 
 TEST(AliasTable, SingleBucket) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "core/config_canon.hpp"
 #include "core/engine.hpp"
 #include "io/atomic_file.hpp"
 #include "io/lay_io.hpp"
@@ -94,6 +95,20 @@ TEST(ServeJson, RejectsMalformedInput) {
     EXPECT_THROW(serve::json_parse("{\"a\":1,}"), std::runtime_error);
     EXPECT_THROW(serve::json_parse("{\"a\":1} extra"), std::runtime_error);
     EXPECT_THROW(serve::json_parse("nope"), std::runtime_error);
+}
+
+TEST(ServeJson, NestingDepthIsBounded) {
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(serve::json_parse(nested(serve::kJsonMaxDepth)));
+    EXPECT_THROW(serve::json_parse(nested(serve::kJsonMaxDepth + 1)),
+                 std::runtime_error);
+    // Deep enough to overflow the stack of an unbounded recursive parser.
+    EXPECT_THROW(serve::json_parse(std::string(100000, '[')),
+                 std::runtime_error);
+    EXPECT_THROW(serve::json_parse(std::string(100000, '{')),
+                 std::runtime_error);
 }
 
 TEST(ServeJson, IntegerAccessorRejectsFractions) {
@@ -204,6 +219,38 @@ TEST(ServeRequest, PlacementKnobsRideTheWireAndRejectBadPolicy) {
         EXPECT_NE(std::string(e.what()).find("config.numa"), std::string::npos)
             << e.what();
     }
+}
+
+TEST(ServeRequest, KeyCarriesTheLayoutAlgorithmVersion) {
+    // A build whose seeded bytes differ bumps the version, so a daemon
+    // restarted on an old cache directory misses instead of serving stale
+    // artifacts as current.
+    const std::string canon = serve::canonical_request(
+        serve::parse_request(serve::json_parse(R"({"graph":"g.gfa"})")));
+    EXPECT_EQ(canon.rfind("algorithm=" +
+                              std::to_string(core::kLayoutAlgorithmVersion) +
+                              ";",
+                          0),
+              0u)
+        << canon;
+}
+
+TEST(ServeRequest, UnusableZipfThetaIsRejected) {
+    for (const char* theta : {"0", "-1", "-0.0"}) {
+        try {
+            serve::parse_request(serve::json_parse(
+                std::string(R"({"graph":"g","config":{"zipf_theta":)") +
+                theta + "}}"));
+            FAIL() << "expected rejection of zipf_theta=" << theta;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("config.zipf_theta"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Out-of-range literals (1e999 would be inf) never become a number.
+    EXPECT_THROW(serve::json_parse(R"({"zipf_theta":1e999})"),
+                 std::runtime_error);
 }
 
 TEST(ServeRequest, UnknownConfigKeyIsRejected) {
@@ -513,6 +560,20 @@ TEST(ServeDaemon, LineProtocolEndToEnd) {
     const serve::JsonValue worse =
         serve::json_parse(serve::send_request(sock, "not json"));
     EXPECT_FALSE(worse.find("ok")->as_bool());
+
+    // A bad zipf_theta fails the submit, not the worker.
+    const serve::JsonValue bad_theta = serve::json_parse(serve::send_request(
+        sock, R"({"cmd":"submit","graph":")" + gfa +
+                  R"(","config":{"zipf_theta":-1}})"));
+    EXPECT_FALSE(bad_theta.find("ok")->as_bool());
+
+    // A line nested far past the parser's depth bound is an error reply,
+    // and the daemon keeps answering.
+    const serve::JsonValue deep = serve::json_parse(
+        serve::send_request(sock, std::string(100000, '[')));
+    EXPECT_FALSE(deep.find("ok")->as_bool());
+    EXPECT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+              R"({"ok":true,"pong":true})");
 
     const serve::JsonValue stats = serve::json_parse(
         serve::send_request(sock, R"({"cmd":"stats"})"));
