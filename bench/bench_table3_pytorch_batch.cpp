@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     memsim::CharacterizeOptions chopt;
     chopt.sample_updates = opt.quick ? 150'000 : 600'000;
     chopt.llc_scale = mhc_scale;
-    const auto ch = memsim::characterize_cpu(g, cfg, core::CoordStore::kSoA, chopt);
+    const auto ch = memsim::characterize_cpu(g, cfg, memsim::CoordStore::kSoA, chopt);
     const double t_cpu = memsim::CpuPerfModel{}.seconds(
         ch, static_cast<std::uint64_t>(full_updates));
     std::cout << "modeled 32-thread CPU baseline: " << bench::fmt(t_cpu, 1)

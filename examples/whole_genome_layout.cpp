@@ -6,12 +6,18 @@
 //
 //   ./whole_genome_layout [out_dir] [n_components] [scale] [backend] [sub]
 //
+// `backend` defaults to cpu-soa. -h/--help prints the usage line; any
+// error (e.g. an unknown backend) prints its message and exits 1.
+//
 // `sub` > 1 regenerates the same genome at `sub` times finer node
 // segmentation (with_finer_segmentation) — the bp-resolution form whose
 // run redundancy the multilevel coarsener collapses.
 //
 // The written GFA is the input CI feeds to `pgl_layout --partition` and
 // the multilevel smoke comparison.
+#include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -22,13 +28,15 @@
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
     using namespace pgl;
     const std::string out_dir = argc > 1 ? argv[1] : ".";
     const std::uint32_t n_components =
         argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 4;
     const double scale = argc > 3 ? std::atof(argv[3]) : 0.0005;
-    const std::string backend = argc > 4 ? argv[4] : "cpu-batched";
+    const std::string backend = argc > 4 ? argv[4] : "cpu-soa";
     const std::uint32_t sub =
         argc > 5 ? static_cast<std::uint32_t>(std::atoi(argv[5])) : 1;
 
@@ -71,4 +79,21 @@ int main(int argc, char** argv) {
                          out_dir + "/whole_genome.svg");
     std::cout << "wrote " << out_dir << "/whole_genome.svg\n";
     return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    if (argc > 1 && (std::strcmp(argv[1], "-h") == 0 ||
+                     std::strcmp(argv[1], "--help") == 0)) {
+        std::cout << "usage: " << argv[0]
+                  << " [out_dir] [n_components] [scale] [backend] [sub]\n";
+        return 0;
+    }
+    try {
+        return run(argc, argv);
+    } catch (const std::exception& e) {
+        std::cerr << argv[0] << ": " << e.what() << "\n";
+        return 1;
+    }
 }

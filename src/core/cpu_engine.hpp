@@ -1,28 +1,28 @@
 #pragma once
-// The multithreaded CPU backends (paper Sec. III): PG-SGD with Hogwild!
-// asynchronous updates. Each worker owns a jumped Xoshiro256+ stream and
-// performs its share of the N_steps updates of every iteration without
-// locking; the graph's extreme sparsity makes collisions harmless, exactly
-// the argument of Sec. III-A.
+// The CPU backends (paper Sec. III): one engine class, two worker loops,
+// sharing kernel resolution, placement, the persistent pool and the
+// coordinate store.
 //
-// Two execution styles share the XYStore-based update code:
-//   * scalar — the legacy per-term loop (sample, update, repeat);
-//   * batched — each worker fills a TermBatch per slice via
-//     PairSampler::fill_batch; with threads > 1 the filled batches are
-//     applied by the calling thread in fixed shard order (sampling is
-//     parallel, application is ordered), so a fixed (seed, threads) pair
-//     is byte-reproducible — the contract the partition scheduler builds
-//     on. With one thread and the same seed the batched engine replays the
-//     scalar engine's exact PRNG stream, so the two produce bit-identical
-//     layouts.
+//   * "cpu-soa" — the Hogwild loop, PG-SGD with asynchronous updates as
+//     odgi-layout runs it. Each worker owns a jumped Xoshiro256+ stream
+//     (worker tid = seed stream jumped tid times) and performs its share of
+//     the N_steps updates of every iteration without locking; the graph's
+//     extreme sparsity makes collisions harmless, exactly the argument of
+//     Sec. III-A. One thread is the same loop on a size-0 pool (inline on
+//     the caller), so a fixed seed is byte-reproducible there; with more
+//     threads the result depends on scheduler interleaving.
+//   * "cpu-pipelined" — the deterministic loop (pipelined_engine.cpp):
+//     pool producers sample TermBatches ahead while the calling thread
+//     applies them in fixed shard order through the UpdateKernel named by
+//     cfg.kernel ("scalar" or the byte-identical vectorized "simd"). A fixed
+//     (seed, threads) pair is byte-reproducible.
 //
-// All engines run on the shared core::XYStore; batch-draining paths apply
-// their TermBatches through the UpdateKernel named by cfg.kernel ("scalar"
-// or the byte-identical vectorized "simd"), resolved and validated at
-// init(). The CoordStore enum below no longer selects a functional storage
-// class — it keeps the "cpu-aos" registry name alive and parameterizes the
-// memory simulators, which model the cache-friendly AoS address stream
-// (the "CPU w/ cache-friendly data layout" bar of Fig. 16).
+// The Hogwild loop applies each term as it samples it and never drains a
+// batch, but with one thread its bytes equal a 1-thread replay of
+// PairSampler::fill_batch + UpdateKernel::apply in kBatchSliceTerms slices
+// (tests/test_engine.cpp keeps that replay as the oracle). The store is
+// always the SoA core::XYStore; the cache-friendly AoS organization of the
+// paper's Fig. 16 is modelled by memsim::characterize_cpu and gpusim.
 #include <cstdint>
 #include <memory>
 
@@ -33,33 +33,31 @@
 
 namespace pgl::core {
 
-enum class CoordStore : std::uint8_t {
-    kSoA,  ///< original ODGI organization (separate X / Y / length arrays)
-    kAoS,  ///< cache-friendly data layout (packed node records; modeled by
-           ///< memsim/gpusim — functional values are identical to kSoA)
+class ThreadPool;
+class UpdateKernel;
+
+/// Which worker loop a CPU engine runs.
+enum class CpuLoop : std::uint8_t {
+    kHogwild,    ///< "cpu-soa"
+    kPipelined,  ///< "cpu-pipelined"
 };
 
-/// Creates a CPU layout engine ("cpu-soa" / "cpu-aos" / "cpu-batched").
-std::unique_ptr<LayoutEngine> make_cpu_engine(CoordStore store, bool batched);
+/// Creates a CPU layout engine running `loop`.
+std::unique_ptr<LayoutEngine> make_cpu_engine(CpuLoop loop);
 
-/// Creates the pipelined CPU engine ("cpu-pipelined"): cfg.threads producer
-/// workers on a persistent core::ThreadPool sample TermBatches into a
-/// double buffer (via the staged, prefetching fill) while the calling
-/// thread applies the previous buffer, so sampling — the workload's
-/// bottleneck (paper Sec. III) — overlaps the position updates.
-/// Deterministic: a fixed (seed, threads) pair always yields the same
-/// layout byte-for-byte, unlike the Hogwild engines.
-std::unique_ptr<LayoutEngine> make_pipelined_engine();
+/// The pipelined loop behind "cpu-pipelined": pool.size() >= 1 producers
+/// sample into a double buffer while the calling thread applies through
+/// `kern` (defined in pipelined_engine.cpp).
+LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
+                           XYStore& store, const UpdateKernel& kern,
+                           const ProgressHook& hook, ThreadPool& pool);
 
-/// Runs the full PG-SGD loop on the CPU and returns the final layout.
-/// Deterministic for cfg.threads == 1 and a fixed seed. Thin wrapper over
-/// the scalar CPU engine, kept for compatibility.
-LayoutResult layout_cpu(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                        CoordStore store = CoordStore::kSoA);
+/// Runs the full Hogwild PG-SGD loop ("cpu-soa") on the CPU and returns the
+/// final layout. Deterministic for cfg.threads == 1 and a fixed seed.
+LayoutResult layout_cpu(const graph::LeanGraph& g, const LayoutConfig& cfg);
 
 /// Same, but starting from a caller-provided initial layout.
 LayoutResult layout_cpu_from(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                             const Layout& initial,
-                             CoordStore store = CoordStore::kSoA);
+                             const Layout& initial);
 
 }  // namespace pgl::core

@@ -80,11 +80,9 @@ LayoutResult LayoutEngine::run(std::uint32_t iterations) {
 EngineRegistry& EngineRegistry::instance() {
     static EngineRegistry registry = [] {
         EngineRegistry r;
-        r.add("cpu-soa", [] { return make_cpu_engine(CoordStore::kSoA, false); });
-        r.add("cpu-aos", [] { return make_cpu_engine(CoordStore::kAoS, false); });
-        r.add("cpu-batched",
-              [] { return make_cpu_engine(CoordStore::kSoA, true); });
-        r.add("cpu-pipelined", [] { return make_pipelined_engine(); });
+        r.add("cpu-soa", [] { return make_cpu_engine(CpuLoop::kHogwild); });
+        r.add("cpu-pipelined",
+              [] { return make_cpu_engine(CpuLoop::kPipelined); });
         r.add("gpusim-base", [] {
             return gpusim::make_gpusim_engine(gpusim::KernelConfig::base(),
                                               gpusim::rtx_a6000());
@@ -99,14 +97,16 @@ EngineRegistry& EngineRegistry::instance() {
     return registry;
 }
 
+std::string unknown_engine_message(const std::string& name) {
+    std::ostringstream msg;
+    msg << "unknown layout engine \"" << name << "\"; available:";
+    for (const auto& n : EngineRegistry::instance().names()) msg << " " << n;
+    return msg.str();
+}
+
 std::unique_ptr<LayoutEngine> make_engine(const std::string& name) {
     auto engine = EngineRegistry::instance().create(name);
-    if (!engine) {
-        std::ostringstream msg;
-        msg << "unknown layout engine \"" << name << "\"; available:";
-        for (const auto& n : EngineRegistry::instance().names()) msg << " " << n;
-        throw std::invalid_argument(msg.str());
-    }
+    if (!engine) throw std::invalid_argument(unknown_engine_message(name));
     return engine;
 }
 

@@ -9,11 +9,8 @@
 // one seam.
 //
 // Built-in registry names:
-//   "cpu-soa"           scalar Hogwild CPU engine, original SoA store
-//   "cpu-aos"           scalar Hogwild CPU engine, cache-friendly AoS store
-//   "cpu-batched"       batched CPU engine (one TermBatch per worker slice;
-//                       parallel sampling, shard-ordered application —
-//                       deterministic per seed+threads)
+//   "cpu-soa"           Hogwild CPU engine (per-term loop, SoA store;
+//                       deterministic per seed at one thread)
 //   "cpu-pipelined"     pipelined CPU engine (pool producers sample ahead,
 //                       the consumer applies; deterministic per seed+threads)
 //   "gpusim-base"       simulated CUDA kernel, no optimizations
@@ -71,22 +68,21 @@ using ProgressHook = std::function<void(const IterationStats&)>;
 
 /// Abstract PG-SGD execution machine. Usage:
 ///
-///   auto eng = core::make_engine("cpu-batched");
+///   auto eng = core::make_engine("cpu-pipelined");
 ///   eng->init(graph, cfg);
 ///   eng->set_progress_hook([](const auto& s) { ... });  // optional
 ///   auto result = eng->run();          // full schedule (cfg.iter_max)
 ///   auto probe  = eng->run(3);         // or a truncated run
 ///
 /// Every backend reports per-iteration progress. Iteration-synchronous
-/// engines (cpu-batched, cpu-pipelined, gpusim-*, torch, and the scalar
-/// CPU engine with one thread) invoke the hook from the calling thread
-/// after each iteration. The multithreaded Hogwild scalar path still runs
-/// its workers through the whole schedule without barriers — exactly as
-/// odgi-layout does — but each worker marks iteration boundaries as it
-/// crosses them, and the *last* worker past a boundary emits the
-/// aggregated IterationStats. Consequence: with threads > 1 on cpu-soa /
-/// cpu-aos the hook may fire on a worker thread (serialized, never
-/// concurrently), and its updates/skipped are the aggregate since the
+/// engines (cpu-pipelined, gpusim-*, torch) and cpu-soa with one thread
+/// invoke the hook from the calling thread after each iteration. The
+/// multithreaded Hogwild loop runs its workers through the whole schedule
+/// without barriers — exactly as odgi-layout does — but each worker marks
+/// iteration boundaries as it crosses them, and the *last* worker past a
+/// boundary emits the aggregated IterationStats. Consequence: with
+/// threads > 1 on cpu-soa the hook may fire on a worker thread (serialized,
+/// never concurrently), and its updates/skipped are the aggregate since the
 /// previous boundary rather than an exact per-iteration slice.
 ///
 /// run() also feeds the telemetry layer (src/telemetry/): an `engine.run`
@@ -145,8 +141,14 @@ private:
     EngineRegistry() = default;
 };
 
+/// "unknown layout engine "NAME"; available: ..." — the one rejection
+/// message for an unregistered name, shared by make_engine and the up-front
+/// checks (partition scheduler, daemon submit), so a stale backend name
+/// lists the valid ones wherever it is caught.
+std::string unknown_engine_message(const std::string& name);
+
 /// Convenience: creates a registered engine or throws std::invalid_argument
-/// listing the available names.
+/// with unknown_engine_message.
 std::unique_ptr<LayoutEngine> make_engine(const std::string& name);
 
 }  // namespace pgl::core

@@ -14,8 +14,8 @@
 //             scalar fallback on other ISAs) plus an in-order scatter pass
 //             with per-group conflict fallback — byte-identical to "scalar"
 //
-// Determinism contract every kernel must honor (it is what the batched and
-// pipelined engines' fixed-(seed, threads) byte-reproducibility — and the
+// Determinism contract every kernel must honor (it is what the pipelined
+// engine's fixed-(seed, threads) byte-reproducibility — and the
 // partition scheduler's byte-equivalence ctest — are built on):
 //   * terms apply in slot order: a later term reads every coordinate an
 //     earlier term of the same batch already wrote ("chained" updates);

@@ -1,14 +1,15 @@
-// The pipelined CPU engine ("cpu-pipelined"): PG-SGD with sampling and
-// position updates overlapped. The paper's Sec. III observation is that the
-// layout loop is sampling-bound — most of an update's cost is drawing the
-// term (alias table, Zipf hop, step lookups), not the arithmetic. This
-// engine therefore splits the two halves of the loop across threads:
+// The pipelined loop of the CPU engine ("cpu-pipelined"; the engine class
+// itself lives in cpu_engine.cpp): PG-SGD with sampling and position
+// updates overlapped. The paper's Sec. III observation is that the layout
+// loop is sampling-bound — most of an update's cost is drawing the term
+// (alias table, Zipf hop, step lookups), not the arithmetic. This loop
+// therefore splits the two halves across threads:
 //
 //   producers (cfg.threads persistent pool workers)
 //       each owns a jumped Xoshiro256+ stream (shard tid = seed stream
-//       jumped tid times, the same sharding rule as "cpu-batched") and
-//       fills its shard's TermBatch for slice N+1 via the staged,
-//       prefetching PairSampler::fill_batch_staged;
+//       jumped tid times, the same sharding rule as the Hogwild "cpu-soa"
+//       workers) and fills its shard's TermBatch for slice N+1 via the
+//       staged, prefetching PairSampler::fill_batch_staged;
 //   consumer (the calling thread)
 //       applies slice N's batches through the configured UpdateKernel
 //       (cfg.kernel: "scalar" or the byte-identical "simd"), in fixed
@@ -18,21 +19,18 @@
 // touching; the pool's dispatch/wait edges order the hand-off. Because the
 // consumer is the only thread that writes coordinates and applies batches
 // in a deterministic order, a fixed (seed, threads) pair reproduces the
-// layout byte-for-byte — unlike the Hogwild engines, whose result depends
-// on scheduler interleaving.
+// layout byte-for-byte — unlike the Hogwild loop, whose result depends on
+// scheduler interleaving.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/cpu_engine.hpp"
 #include "core/kernels/update_kernel.hpp"
-#include "core/node_alloc.hpp"
 #include "core/schedule.hpp"
 #include "core/term_batch.hpp"
 #include "core/thread_pool.hpp"
-#include "core/topology.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace pgl::core {
@@ -55,9 +53,11 @@ struct alignas(64) ShardCounter {
     std::uint64_t skipped = 0;
 };
 
+}  // namespace
+
 LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
                            XYStore& store, const UpdateKernel& kern,
-                           ThreadPool& pool, const ProgressHook& hook) {
+                           const ProgressHook& hook, ThreadPool& pool) {
     LayoutResult result;
     result.eta_schedule = make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
@@ -87,8 +87,8 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
         return static_cast<std::size_t>(end - begin);
     };
 
-    // The per-shard RNG streams match cpu-batched: stream tid is the seed
-    // stream jumped tid times, so both engines sample identical terms.
+    // The per-shard RNG streams follow the Hogwild rule: stream tid is the
+    // seed stream jumped tid times.
     std::vector<rng::Xoshiro256Plus> rngs;
     rngs.reserve(n_shards);
     rng::Xoshiro256Plus seeder(cfg.seed);
@@ -167,58 +167,6 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     result.skipped = total_skipped;
     result.layout = store.snapshot();
     return result;
-}
-
-class PipelinedLayoutEngine final : public LayoutEngine {
-public:
-    std::string_view name() const noexcept override { return "cpu-pipelined"; }
-
-protected:
-    void do_init() override {
-        // Resolving the kernel here also validates cfg.kernel up front
-        // (resolve_placement does the same for cfg.numa).
-        kernel_ = make_update_kernel(cfg_.kernel);
-        // Always at least one producer: even a single-threaded config
-        // overlaps sampling with the consumer's updates. Workers persist
-        // across run() calls — nothing is spawned in the iteration loop.
-        // The pool is recreated when the placement plan changes, not just
-        // the size: live workers cannot be repinned.
-        const std::uint32_t n = cfg_.threads == 0 ? 1 : cfg_.threads;
-        place_ = resolve_placement(cfg_, n);
-        const std::string key = place_.key();
-        if (!pool_ || pool_->size() != n || pool_key_ != key) {
-            pool_ = std::make_unique<ThreadPool>(n, place_.plan);
-            pool_key_ = key;
-        }
-    }
-
-    LayoutResult do_run(const LayoutConfig& cfg) override {
-        const Layout initial = make_initial_layout(*graph_, cfg);
-        ProgressHook hook;
-        if (has_progress_hook()) {
-            hook = [this](const IterationStats& s) { emit_progress(s); };
-        }
-        XYStore s;
-        if (place_.memory_active()) {
-            NodeAllocator alloc(place_, *pool_);
-            s.load(initial, alloc);
-        } else {
-            s.load(initial);
-        }
-        return run_pipelined(*graph_, cfg, s, *kernel_, *pool_, hook);
-    }
-
-private:
-    std::unique_ptr<const UpdateKernel> kernel_;
-    std::unique_ptr<ThreadPool> pool_;
-    PlacementContext place_;
-    std::string pool_key_;
-};
-
-}  // namespace
-
-std::unique_ptr<LayoutEngine> make_pipelined_engine() {
-    return std::make_unique<PipelinedLayoutEngine>();
 }
 
 }  // namespace pgl::core

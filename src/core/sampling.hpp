@@ -128,8 +128,8 @@ public:
     /// their slot with valid == 0) and returns how many were degenerate.
     /// When `with_nudge` is set, one extra uniform draw per *valid* term
     /// produces the coincident-point nudge — consuming the PRNG stream
-    /// exactly as the scalar CPU update loop does, so a batched run with
-    /// the same seed replays the identical term-and-nudge sequence.
+    /// exactly as the Hogwild CPU update loop does, so a batched replay
+    /// with the same seed sees the identical term-and-nudge sequence.
     /// Defined in core/term_batch.hpp.
     template <typename Rng>
     std::uint64_t fill_batch(bool cooling_iter, Rng& rng, std::size_t n,

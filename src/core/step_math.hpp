@@ -15,10 +15,11 @@ struct PointDelta {
 };
 
 /// Draws the small nonzero coincident-point separation passed to
-/// sgd_term_update. One definition for every consumer (scalar CPU loop,
-/// PairSampler::fill_batch, GPU simulator): the batched engine's
-/// bit-identical-to-scalar guarantee requires all of them to consume the
-/// PRNG identically.
+/// sgd_term_update. One definition for every consumer (Hogwild CPU loop,
+/// PairSampler::fill_batch, GPU simulator): the 1-thread cpu-soa run is
+/// bit-identical to a 1-thread fill_batch + UpdateKernel::apply replay (the
+/// oracle in tests/test_engine.cpp) only if all of them consume the PRNG
+/// identically.
 template <typename Rng>
 double draw_nudge(Rng& rng) noexcept {
     const double n = (rng.next_double() - 0.5) * 1e-3;

@@ -19,10 +19,10 @@
 
 namespace pgl::core {
 
-/// Terms per TermBatch slice in the batched/pipelined CPU engines: big
-/// enough to amortize the buffer bookkeeping (and, in the pipelined engine,
-/// the pool dispatch), small enough that a slice's updates stay hot in
-/// L1/L2 before the next slice is sampled.
+/// Minimum terms per TermBatch slice in the pipelined CPU loop: big enough
+/// to amortize the buffer bookkeeping and the pool dispatch, small enough
+/// that a slice's updates stay hot in L1/L2 before the next slice is
+/// sampled.
 constexpr std::size_t kBatchSliceTerms = 1024;
 
 struct TermBatch {

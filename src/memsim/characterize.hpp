@@ -21,11 +21,18 @@
 #include <cstdint>
 
 #include "core/config.hpp"
-#include "core/cpu_engine.hpp"
 #include "graph/lean_graph.hpp"
 #include "memsim/cache.hpp"
 
 namespace pgl::memsim {
+
+/// Coordinate-store organization whose address stream the replay models.
+/// The functional engines all run on the SoA core::XYStore; the AoS
+/// organization exists only as this model (and gpusim's NodeRecord).
+enum class CoordStore : std::uint8_t {
+    kSoA,  ///< original ODGI organization (separate X / Y / length arrays)
+    kAoS,  ///< cache-friendly data layout (packed node records, Fig. 9b)
+};
 
 struct CpuCharacterization {
     CacheStats l1, l2, llc;
@@ -67,7 +74,7 @@ struct CharacterizeOptions {
 /// the given coordinate-store organization (SoA = original, AoS = CDL).
 CpuCharacterization characterize_cpu(const graph::LeanGraph& g,
                                      const core::LayoutConfig& cfg,
-                                     core::CoordStore store,
+                                     CoordStore store,
                                      const CharacterizeOptions& opt);
 
 /// Analytic CPU time model used for the paper-shape speedup tables: total

@@ -31,7 +31,7 @@ core::LayoutResult run_component(const ComponentSubgraph& component,
 std::vector<core::LayoutResult> ComponentScheduler::run(
     const Decomposition& d) const {
     if (!core::EngineRegistry::instance().contains(opt_.backend)) {
-        throw std::invalid_argument("unknown partition backend: " + opt_.backend);
+        throw std::invalid_argument(core::unknown_engine_message(opt_.backend));
     }
     // Fail before any component runs, not from inside a worker thread (or
     // a worker process).

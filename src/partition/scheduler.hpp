@@ -8,7 +8,8 @@
 //
 // Determinism contract: every component gets its own engine instance seeded
 // with component_seed(cfg.seed, component_id) — a SplitMix64 mix, so
-// component streams never overlap — and engines are deterministic for a
+// component streams never overlap — and the deterministic engines
+// (cpu-pipelined, and cpu-soa at one thread) are byte-reproducible for a
 // fixed (seed, threads). Results land in slots indexed by component id.
 // Consequently a partitioned run is byte-reproducible for a fixed
 // (seed, backend, engine threads) regardless of how many scheduler workers
@@ -44,7 +45,7 @@ struct ComponentProgress {
 using ComponentHook = std::function<void(const ComponentProgress&)>;
 
 struct SchedulerOptions {
-    std::string backend = "cpu-batched";  ///< EngineRegistry name
+    std::string backend = "cpu-soa";      ///< EngineRegistry name
     core::LayoutConfig config;            ///< per-engine config; cfg.seed is the
                                           ///< base seed mixed per component
     std::uint32_t workers = 1;            ///< components laid out concurrently

@@ -89,7 +89,7 @@ std::uint64_t Server::submit(const JobRequest& r) {
     // Validate up front, on the caller's thread: a bad request must fail
     // the submit, not a worker later.
     if (!core::EngineRegistry::instance().contains(r.backend)) {
-        throw std::runtime_error("unknown backend \"" + r.backend + "\"");
+        throw std::runtime_error(core::unknown_engine_message(r.backend));
     }
     if (!core::KernelRegistry::instance().contains(r.config.kernel)) {
         throw std::runtime_error("unknown kernel \"" + r.config.kernel + "\"");

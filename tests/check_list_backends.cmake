@@ -35,8 +35,7 @@ foreach(line IN LISTS lines)
 endforeach()
 
 # Every built-in engine must be listed.
-foreach(required cpu-soa cpu-aos cpu-batched cpu-pipelined
-                 gpusim-base gpusim-optimized torch)
+foreach(required cpu-soa cpu-pipelined gpusim-base gpusim-optimized torch)
   list(FIND lines ${required} idx)
   if(idx EQUAL -1)
     message(FATAL_ERROR "built-in backend missing from listing: ${required}")

@@ -310,20 +310,6 @@ TEST(CpuEngine, DeterministicSingleThread) {
     }
 }
 
-TEST(CpuEngine, SoAAndAoSConvergeToSimilarQuality) {
-    const auto g = small_graph(300, 5);
-    core::LayoutConfig cfg;
-    cfg.iter_max = 12;
-    cfg.steps_per_iter_factor = 4.0;
-    const auto soa = core::layout_cpu(g, cfg, core::CoordStore::kSoA);
-    const auto aos = core::layout_cpu(g, cfg, core::CoordStore::kAoS);
-    const double s1 = metrics::sampled_path_stress(g, soa.layout, 20, 1).value;
-    const double s2 = metrics::sampled_path_stress(g, aos.layout, 20, 1).value;
-    // Same algorithm, same seed, different storage: quality must match
-    // within noise.
-    EXPECT_LT(std::abs(s1 - s2) / std::max(s1, s2), 0.5);
-}
-
 TEST(CpuEngine, MultiThreadedHogwildPreservesQuality) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;

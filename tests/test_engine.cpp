@@ -2,6 +2,7 @@
 // the batched term pipeline (TermBatch / PairSampler::fill_batch).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -13,6 +14,8 @@
 
 #include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
+#include "core/kernels/update_kernel.hpp"
+#include "core/schedule.hpp"
 #include "core/term_batch.hpp"
 #include "core/thread_pool.hpp"
 #include "graph/lean_graph.hpp"
@@ -41,15 +44,33 @@ core::LayoutConfig tiny_cfg() {
     return cfg;
 }
 
+void expect_same_layout(const core::LayoutResult& a,
+                        const core::LayoutResult& b, const std::string& what) {
+    ASSERT_EQ(a.layout.size(), b.layout.size()) << what;
+    for (std::size_t i = 0; i < a.layout.size(); ++i) {
+        ASSERT_EQ(a.layout.start_x[i], b.layout.start_x[i]) << what << " " << i;
+        ASSERT_EQ(a.layout.start_y[i], b.layout.start_y[i]) << what << " " << i;
+        ASSERT_EQ(a.layout.end_x[i], b.layout.end_x[i]) << what << " " << i;
+        ASSERT_EQ(a.layout.end_y[i], b.layout.end_y[i]) << what << " " << i;
+    }
+    EXPECT_EQ(a.updates, b.updates) << what;
+    EXPECT_EQ(a.skipped, b.skipped) << what;
+}
+
 // --- Registry ---
 
 TEST(EngineRegistry, ListsAllBuiltinBackends) {
     const auto names = core::EngineRegistry::instance().names();
     const std::set<std::string> have(names.begin(), names.end());
     for (const char* expected :
-         {"cpu-soa", "cpu-aos", "cpu-batched", "cpu-pipelined", "gpusim-base",
-          "gpusim-optimized", "torch"}) {
+         {"cpu-soa", "cpu-pipelined", "gpusim-base", "gpusim-optimized",
+          "torch"}) {
         EXPECT_TRUE(have.count(expected)) << "missing backend " << expected;
+    }
+    // The deleted CPU backends are rejected, not aliased.
+    for (const char* gone : {"cpu-aos", "cpu-batched"}) {
+        EXPECT_FALSE(have.count(gone)) << "deleted backend listed: " << gone;
+        EXPECT_THROW(core::make_engine(gone), std::invalid_argument) << gone;
     }
 }
 
@@ -70,7 +91,7 @@ TEST(EngineRegistry, UnknownNameIsNullAndMakeEngineThrows) {
 TEST(EngineRegistry, CustomEngineCanBeRegistered) {
     auto& reg = core::EngineRegistry::instance();
     reg.add("test-alias", [] {
-        return core::make_cpu_engine(core::CoordStore::kSoA, false);
+        return core::make_cpu_engine(core::CpuLoop::kHogwild);
     });
     EXPECT_TRUE(reg.contains("test-alias"));
     auto engine = reg.create("test-alias");
@@ -127,7 +148,7 @@ TEST(LayoutEngine, ProgressHookFiresPerIteration) {
     const auto g = small_graph();
     const auto cfg = tiny_cfg();
     for (const char* name :
-         {"cpu-soa", "cpu-batched", "cpu-pipelined", "gpusim-base", "torch"}) {
+         {"cpu-soa", "cpu-pipelined", "gpusim-base", "torch"}) {
         auto engine = core::make_engine(name);
         engine->init(g, cfg);
         std::vector<core::IterationStats> seen;
@@ -147,9 +168,41 @@ TEST(LayoutEngine, ProgressHookFiresPerIteration) {
     }
 }
 
-// --- Batched CPU engine vs legacy scalar path (acceptance criterion) ---
+// --- cpu-soa = 1-thread batched replay (the test oracle) ---
 
-TEST(CpuBatchedEngine, BitIdenticalToScalarForSingleThread) {
+// Replays a 1-thread run the batched way: per iteration, the seed stream
+// fills kBatchSliceTerms-term slices through PairSampler::fill_batch and
+// each slice drains through the named UpdateKernel. The Hogwild loop
+// applies every term as it samples it, so at one thread it must land on
+// exactly these bytes.
+core::LayoutResult batched_replay(const graph::LeanGraph& g,
+                                  const core::LayoutConfig& cfg,
+                                  const std::string& kernel) {
+    const auto kern = core::make_update_kernel(kernel);
+    core::LayoutResult r;
+    r.eta_schedule = core::make_engine_schedule(
+        cfg, static_cast<double>(g.max_path_nuc_length()));
+    const core::PairSampler sampler(g, cfg);
+    const std::uint64_t n_steps = cfg.steps_per_iteration(g.total_path_steps());
+    core::XYStore store(core::make_initial_layout(g, cfg));
+    rng::Xoshiro256Plus rng(cfg.seed);
+    core::TermBatch batch;
+    for (std::uint32_t iter = 0; iter < cfg.iter_max; ++iter) {
+        for (std::uint64_t left = n_steps; left > 0;) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(core::kBatchSliceTerms, left));
+            batch.clear();
+            r.skipped += sampler.fill_batch(cfg.cooling(iter), rng, n, batch);
+            kern->apply(batch, r.eta_schedule[iter], store);
+            left -= n;
+        }
+        r.updates += n_steps;
+    }
+    r.layout = store.snapshot();
+    return r;
+}
+
+TEST(CpuSoaEngine, BitIdenticalToSingleThreadBatchedReplay) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;
     cfg.iter_max = 6;
@@ -157,30 +210,23 @@ TEST(CpuBatchedEngine, BitIdenticalToScalarForSingleThread) {
     cfg.threads = 1;
     cfg.seed = 4242;
 
-    const auto scalar = core::layout_cpu(g, cfg);  // legacy wrapper
-
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-soa");
     engine->init(g, cfg);
-    const auto batched = engine->run();
-
-    ASSERT_EQ(scalar.layout.size(), batched.layout.size());
-    for (std::size_t i = 0; i < scalar.layout.size(); ++i) {
-        ASSERT_EQ(scalar.layout.start_x[i], batched.layout.start_x[i]) << i;
-        ASSERT_EQ(scalar.layout.start_y[i], batched.layout.start_y[i]) << i;
-        ASSERT_EQ(scalar.layout.end_x[i], batched.layout.end_x[i]) << i;
-        ASSERT_EQ(scalar.layout.end_y[i], batched.layout.end_y[i]) << i;
+    const auto soa = engine->run();
+    expect_same_layout(soa, core::layout_cpu(g, cfg), "layout_cpu wrapper");
+    for (const char* kernel : {"scalar", "simd"}) {
+        expect_same_layout(soa, batched_replay(g, cfg, kernel),
+                           std::string("replay via ") + kernel);
     }
-    EXPECT_EQ(scalar.updates, batched.updates);
-    EXPECT_EQ(scalar.skipped, batched.skipped);
 }
 
-TEST(CpuBatchedEngine, MultithreadedRunStaysFinite) {
+TEST(CpuPipelinedEngine, MultithreadedRunStaysFinite) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;
     cfg.iter_max = 4;
     cfg.steps_per_iter_factor = 2.0;
     cfg.threads = 4;
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-pipelined");
     engine->init(g, cfg);
     const auto r = engine->run();
     for (std::size_t i = 0; i < r.layout.size(); ++i) {
@@ -276,7 +322,7 @@ TEST(CpuPipelinedEngine, ReRunningTheSameEngineInstanceIsDeterministicToo) {
     }
 }
 
-TEST(CpuPipelinedEngine, MatchesBatchedQualityWithinStressTolerance) {
+TEST(CpuPipelinedEngine, MatchesCpuSoaQualityWithinStressTolerance) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;
     // A full 30-iteration schedule: partially-converged runs have
@@ -284,26 +330,41 @@ TEST(CpuPipelinedEngine, MatchesBatchedQualityWithinStressTolerance) {
     // engine, so only the converged layouts compare meaningfully.
     cfg.iter_max = 30;
     cfg.steps_per_iter_factor = 2.0;
+    // The reference is cpu-soa at one thread, the deterministic Hogwild run.
+    core::LayoutConfig ref_cfg = cfg;
+    ref_cfg.threads = 1;
     cfg.threads = 4;
-    cfg.seed = 777;
 
-    auto batched = core::make_engine("cpu-batched");
-    batched->init(g, cfg);
-    const auto rb = batched->run();
-
-    auto pipelined = core::make_engine("cpu-pipelined");
-    pipelined->init(g, cfg);
-    const auto rp = pipelined->run();
-
-    EXPECT_EQ(rb.updates, rp.updates);
-    const auto sb = metrics::sampled_path_stress(g, rb.layout, 50, 1);
-    const auto sp = metrics::sampled_path_stress(g, rp.layout, 50, 1);
+    // Even converged, about one seed in ten lands either engine at 2x or
+    // more of the typical stress, so a single-seed comparison is a coin
+    // flip (4 of 20 seeds fail it). Compare medians over 9 seeds instead:
+    // over seeds 700-799 no 9-seed window leaves the band (7-seed windows
+    // left it once in 94).
+    std::vector<double> soa, pip;
+    for (std::uint64_t seed = 777; seed < 777 + 9; ++seed) {
+        cfg.seed = ref_cfg.seed = seed;
+        auto soa_engine = core::make_engine("cpu-soa");
+        soa_engine->init(g, ref_cfg);
+        const auto rs = soa_engine->run();
+        auto pipelined = core::make_engine("cpu-pipelined");
+        pipelined->init(g, cfg);
+        const auto rp = pipelined->run();
+        EXPECT_EQ(rs.updates, rp.updates);
+        soa.push_back(metrics::sampled_path_stress(g, rs.layout, 50, 1).value);
+        pip.push_back(metrics::sampled_path_stress(g, rp.layout, 50, 1).value);
+    }
+    const auto median = [](std::vector<double> v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+    };
+    const double ss = median(soa);
+    const double sp = median(pip);
     // Same objective, same schedule, different update interleaving: the
     // two engines must land on layouts of comparable quality.
-    ASSERT_GT(sb.value, 0.0);
-    ASSERT_GT(sp.value, 0.0);
-    EXPECT_LT(sp.value, sb.value * 2.0);
-    EXPECT_GT(sp.value, sb.value * 0.5);
+    ASSERT_GT(ss, 0.0);
+    ASSERT_GT(sp, 0.0);
+    EXPECT_LT(sp, ss * 2.0);
+    EXPECT_GT(sp, ss * 0.5);
 }
 
 // --- Update accounting (multithreaded over-count fix) ---
@@ -376,7 +437,7 @@ TEST(TermBatch, FillBatchMatchesScalarSampleStream) {
 
 TEST(TermBatch, SlicedFillsReplayOneBigFill) {
     // Filling 4 x 250 terms in slices consumes the PRNG exactly like one
-    // 1000-term fill — the property the batched engine's slicing relies on.
+    // 1000-term fill — the property the batched replay oracle relies on.
     const auto g = small_graph(250, 4);
     core::LayoutConfig cfg;
     const core::PairSampler sampler(g, cfg);
@@ -446,19 +507,6 @@ core::LayoutResult run_placed(const graph::LeanGraph& g, const char* backend,
     return engine->run();
 }
 
-void expect_same_layout(const core::LayoutResult& a,
-                        const core::LayoutResult& b, const std::string& what) {
-    ASSERT_EQ(a.layout.size(), b.layout.size()) << what;
-    for (std::size_t i = 0; i < a.layout.size(); ++i) {
-        ASSERT_EQ(a.layout.start_x[i], b.layout.start_x[i]) << what << " " << i;
-        ASSERT_EQ(a.layout.start_y[i], b.layout.start_y[i]) << what << " " << i;
-        ASSERT_EQ(a.layout.end_x[i], b.layout.end_x[i]) << what << " " << i;
-        ASSERT_EQ(a.layout.end_y[i], b.layout.end_y[i]) << what << " " << i;
-    }
-    EXPECT_EQ(a.updates, b.updates) << what;
-    EXPECT_EQ(a.skipped, b.skipped) << what;
-}
-
 class PlacementByteIdentity
     : public ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {
 };
@@ -478,10 +526,12 @@ TEST_P(PlacementByteIdentity, PinnedAndPlacedRunsMatchUnpinned) {
                        "pin + node:7");
 }
 
+// cpu-soa is deterministic at one thread only (Hogwild races otherwise).
 INSTANTIATE_TEST_SUITE_P(
     DeterministicBackends, PlacementByteIdentity,
-    ::testing::Combine(::testing::Values("cpu-batched", "cpu-pipelined"),
-                       ::testing::Values(1u, 4u)),
+    ::testing::Values(std::make_tuple("cpu-soa", 1u),
+                      std::make_tuple("cpu-pipelined", 1u),
+                      std::make_tuple("cpu-pipelined", 4u)),
     [](const auto& info) {
         std::string name = std::string(std::get<0>(info.param)) + "_t" +
                            std::to_string(std::get<1>(info.param));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "core/cpu_engine.hpp"
@@ -99,6 +101,30 @@ TEST(CpuEngine, CoordinatesStayFinite) {
         ASSERT_TRUE(std::isfinite(r.layout.start_y[i]));
         ASSERT_TRUE(std::isfinite(r.layout.end_x[i]));
         ASSERT_TRUE(std::isfinite(r.layout.end_y[i]));
+    }
+}
+
+TEST(CpuEngine, CancelledBeforeRunReportsNoUpdates) {
+    // Every Hogwild worker stops at its first iteration boundary, so a run
+    // cancelled before it starts made no updates — at any thread count —
+    // and returns the initial layout.
+    const auto g = mk_graph(300, 4);
+    for (const std::uint32_t threads : {1u, 4u}) {
+        core::LayoutConfig cfg;
+        cfg.iter_max = 5;
+        cfg.threads = threads;
+        cfg.cancel = std::make_shared<std::atomic<bool>>(true);
+        auto engine = core::make_engine("cpu-soa");
+        engine->init(g, cfg);
+        const auto r = engine->run();
+        EXPECT_EQ(r.updates, 0u) << threads << " threads";
+        EXPECT_EQ(r.skipped, 0u) << threads << " threads";
+        const auto initial = core::make_initial_layout(g, cfg);
+        ASSERT_EQ(r.layout.size(), initial.size());
+        for (std::size_t i = 0; i < initial.size(); ++i) {
+            ASSERT_EQ(r.layout.start_x[i], initial.start_x[i]) << threads;
+            ASSERT_EQ(r.layout.end_y[i], initial.end_y[i]) << threads;
+        }
     }
 }
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/cpu_engine.hpp"
@@ -325,34 +326,36 @@ TEST(TermBatch, InvalidCountTracksStagedFills) {
 
 // --- Engine-level byte-identity: --kernel simd == --kernel scalar ---
 
-TEST(KernelEquivalence, BatchedAndPipelinedEnginesAreByteIdenticalAcrossKernels) {
+TEST(KernelEquivalence, CpuEnginesAreByteIdenticalAcrossKernels) {
     // A deliberately tiny node set so SIMD lane groups regularly contain
     // duplicate nodes and the conflict path runs inside a real engine loop.
+    // cpu-soa never drains a batch, so its entry checks that both kernel
+    // names are accepted and change nothing.
     const auto g = small_graph(40, 6, 11);
-    for (const char* backend : {"cpu-batched", "cpu-pipelined"}) {
-        for (const std::uint32_t threads : {1u, 4u}) {
-            core::LayoutConfig cfg;
-            cfg.iter_max = 5;
-            cfg.steps_per_iter_factor = 3.0;
-            cfg.threads = threads;
-            cfg.seed = 321;
+    const std::pair<const char*, std::uint32_t> runs[] = {
+        {"cpu-soa", 1u}, {"cpu-pipelined", 1u}, {"cpu-pipelined", 4u}};
+    for (const auto& [backend, threads] : runs) {
+        core::LayoutConfig cfg;
+        cfg.iter_max = 5;
+        cfg.steps_per_iter_factor = 3.0;
+        cfg.threads = threads;
+        cfg.seed = 321;
 
-            cfg.kernel = "scalar";
-            auto scalar_engine = core::make_engine(backend);
-            scalar_engine->init(g, cfg);
-            const auto scalar_run = scalar_engine->run();
+        cfg.kernel = "scalar";
+        auto scalar_engine = core::make_engine(backend);
+        scalar_engine->init(g, cfg);
+        const auto scalar_run = scalar_engine->run();
 
-            cfg.kernel = "simd";
-            auto simd_engine = core::make_engine(backend);
-            simd_engine->init(g, cfg);
-            const auto simd_run = simd_engine->run();
+        cfg.kernel = "simd";
+        auto simd_engine = core::make_engine(backend);
+        simd_engine->init(g, cfg);
+        const auto simd_run = simd_engine->run();
 
-            SCOPED_TRACE(std::string(backend) + " @ " +
-                         std::to_string(threads) + " threads");
-            expect_layouts_identical(scalar_run.layout, simd_run.layout);
-            EXPECT_EQ(scalar_run.updates, simd_run.updates);
-            EXPECT_EQ(scalar_run.skipped, simd_run.skipped);
-        }
+        SCOPED_TRACE(std::string(backend) + " @ " +
+                     std::to_string(threads) + " threads");
+        expect_layouts_identical(scalar_run.layout, simd_run.layout);
+        EXPECT_EQ(scalar_run.updates, simd_run.updates);
+        EXPECT_EQ(scalar_run.skipped, simd_run.skipped);
     }
 }
 

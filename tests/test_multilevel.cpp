@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -185,7 +186,7 @@ TEST(Interpolate, SingletonRunsRoundTripBitwise) {
     const auto lvl = multilevel::coarsen(g);
     ASSERT_EQ(lvl.map.coarse_count(), g.node_count());
 
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-soa");
     engine->init(lvl.graph, quick_config());
     const auto coarse = engine->run().layout;
     const auto fine = multilevel::interpolate(lvl.map, coarse, g);
@@ -334,20 +335,20 @@ TEST(Plan, BuildRejectsZeroLevels) {
 
 TEST(RunPlan, ByteReproducibleOnDeterministicBackends) {
     const auto g = variant_graph();
-    for (const std::string backend : {"cpu-batched", "cpu-pipelined"}) {
-        for (const std::uint32_t threads : {1u, 4u}) {
-            core::LayoutConfig cfg = quick_config(threads);
-            const auto plan = multilevel::build_plan(
-                cfg, {}, static_cast<double>(g.max_path_nuc_length()));
-            auto e1 = core::make_engine(backend);
-            auto e2 = core::make_engine(backend);
-            const auto a = multilevel::run_plan(plan, g, *e1, cfg);
-            const auto b = multilevel::run_plan(plan, g, *e2, cfg);
-            expect_layout_bitwise_equal(a.layout, b.layout);
-            EXPECT_EQ(a.updates, b.updates);
-            ASSERT_EQ(a.level_nodes.size(), 2u);
-            EXPECT_LT(a.level_nodes[1], a.level_nodes[0]);
-        }
+    const std::pair<const char*, std::uint32_t> runs[] = {
+        {"cpu-soa", 1u}, {"cpu-pipelined", 1u}, {"cpu-pipelined", 4u}};
+    for (const auto& [backend, threads] : runs) {
+        core::LayoutConfig cfg = quick_config(threads);
+        const auto plan = multilevel::build_plan(
+            cfg, {}, static_cast<double>(g.max_path_nuc_length()));
+        auto e1 = core::make_engine(backend);
+        auto e2 = core::make_engine(backend);
+        const auto a = multilevel::run_plan(plan, g, *e1, cfg);
+        const auto b = multilevel::run_plan(plan, g, *e2, cfg);
+        expect_layout_bitwise_equal(a.layout, b.layout);
+        EXPECT_EQ(a.updates, b.updates);
+        ASSERT_EQ(a.level_nodes.size(), 2u);
+        EXPECT_LT(a.level_nodes[1], a.level_nodes[0]);
     }
 }
 
@@ -361,11 +362,16 @@ TEST(RunPlan, ScalarAndSimdKernelsMatchBitwise) {
     scalar_cfg.kernel = "scalar";
     core::LayoutConfig simd_cfg = cfg;
     simd_cfg.kernel = "simd";
-    auto e1 = core::make_engine("cpu-batched");
-    auto e2 = core::make_engine("cpu-batched");
-    const auto a = multilevel::run_plan(plan, g, *e1, scalar_cfg);
-    const auto b = multilevel::run_plan(plan, g, *e2, simd_cfg);
-    expect_layout_bitwise_equal(a.layout, b.layout);
+    // cpu-soa is the 1-thread survivor; cpu-pipelined drains its batches
+    // through the selected kernel.
+    for (const char* backend : {"cpu-soa", "cpu-pipelined"}) {
+        SCOPED_TRACE(backend);
+        auto e1 = core::make_engine(backend);
+        auto e2 = core::make_engine(backend);
+        const auto a = multilevel::run_plan(plan, g, *e1, scalar_cfg);
+        const auto b = multilevel::run_plan(plan, g, *e2, simd_cfg);
+        expect_layout_bitwise_equal(a.layout, b.layout);
+    }
 }
 
 TEST(RunPlan, TimingsCoverEveryPass) {
@@ -373,7 +379,7 @@ TEST(RunPlan, TimingsCoverEveryPass) {
     core::LayoutConfig cfg = quick_config();
     const auto plan = multilevel::build_plan(
         cfg, {}, static_cast<double>(g.max_path_nuc_length()));
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-soa");
     const auto r = multilevel::run_plan(plan, g, *engine, cfg);
     ASSERT_EQ(r.timings.size(), plan.passes.size());
     for (std::size_t i = 0; i < plan.passes.size(); ++i) {
@@ -388,7 +394,7 @@ TEST(RunPlan, PathlessGraphShortCircuitsToInitialLayout) {
     const auto g = graph::LeanGraph::from_parts({4, 4, 4}, {});
     core::LayoutConfig cfg = quick_config();
     multilevel::LayoutPlan plan = multilevel::build_plan(cfg, {}, 1.0);
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-soa");
     const auto r = multilevel::run_plan(plan, g, *engine, cfg);
     EXPECT_EQ(r.layout.size(), 3u);
     EXPECT_EQ(r.updates, 0u);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -317,34 +318,34 @@ TEST(Scheduler, PathlessComponentGetsDeterministicFallback) {
 // The acceptance contract (ISSUE 3): a partitioned whole_genome_spec(4, ...)
 // layout is byte-identical to the four standalone per-component layouts
 // stitched with the same deterministic packing, for the deterministic CPU
-// backends at 1 and 4 threads.
+// runs: cpu-soa at 1 thread, cpu-pipelined at 1 and 4 threads.
 TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
     const auto vg = small_genome(4);
-    for (const std::string backend : {"cpu-batched", "cpu-pipelined"}) {
-        for (const std::uint32_t threads : {1u, 4u}) {
-            partition::PartitionOptions popt;
-            popt.schedule.backend = backend;
-            popt.schedule.config = quick_config(threads);
-            popt.schedule.workers = 2;
-            const auto part = partition::partition_layout(vg, popt);
-            ASSERT_EQ(part.decomposition.count(), 4u);
+    const std::pair<const char*, std::uint32_t> runs[] = {
+        {"cpu-soa", 1u}, {"cpu-pipelined", 1u}, {"cpu-pipelined", 4u}};
+    for (const auto& [backend, threads] : runs) {
+        partition::PartitionOptions popt;
+        popt.schedule.backend = backend;
+        popt.schedule.config = quick_config(threads);
+        popt.schedule.workers = 2;
+        const auto part = partition::partition_layout(vg, popt);
+        ASSERT_EQ(part.decomposition.count(), 4u);
 
-            // Standalone runs: a fresh engine per component, straight off
-            // the registry, seeded exactly as the scheduler seeds them.
-            std::vector<core::Layout> standalone;
-            for (std::uint32_t c = 0; c < part.decomposition.count(); ++c) {
-                auto engine = core::make_engine(backend);
-                core::LayoutConfig cfg = popt.schedule.config;
-                cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
-                engine->init(part.decomposition.components[c].graph, cfg);
-                standalone.push_back(engine->run().layout);
-                expect_layout_bitwise_equal(
-                    part.component_results[c].layout, standalone.back());
-            }
-            const auto restitched =
-                partition::stitch(part.decomposition, standalone, popt.stitching);
-            expect_layout_bitwise_equal(part.stitched.layout, restitched.layout);
+        // Standalone runs: a fresh engine per component, straight off
+        // the registry, seeded exactly as the scheduler seeds them.
+        std::vector<core::Layout> standalone;
+        for (std::uint32_t c = 0; c < part.decomposition.count(); ++c) {
+            auto engine = core::make_engine(backend);
+            core::LayoutConfig cfg = popt.schedule.config;
+            cfg.seed = partition::component_seed(popt.schedule.config.seed, c);
+            engine->init(part.decomposition.components[c].graph, cfg);
+            standalone.push_back(engine->run().layout);
+            expect_layout_bitwise_equal(
+                part.component_results[c].layout, standalone.back());
         }
+        const auto restitched =
+            partition::stitch(part.decomposition, standalone, popt.stitching);
+        expect_layout_bitwise_equal(part.stitched.layout, restitched.layout);
     }
 }
 

@@ -57,7 +57,7 @@ std::string write_mini_gfa(const std::string& dir) {
 }
 
 serve::JobRequest mini_request(const std::string& graph,
-                               const std::string& backend = "cpu-batched") {
+                               const std::string& backend = "cpu-soa") {
     serve::JobRequest r;
     r.graph = graph;
     r.backend = backend;
@@ -134,7 +134,7 @@ TEST(ServeRequest, EveryKnobChangesTheKey) {
     const std::string base = serve::canonical_request(
         serve::parse_request(serve::json_parse(R"({"graph":"g.gfa"})")));
     const char* variants[] = {
-        R"({"graph":"g.gfa","config":{"backend":"cpu-aos"}})",
+        R"({"graph":"g.gfa","config":{"backend":"cpu-pipelined"}})",
         R"({"graph":"g.gfa","config":{"kernel":"simd"}})",
         R"({"graph":"g.gfa","config":{"iters":31}})",
         R"({"graph":"g.gfa","config":{"seed":1}})",
@@ -375,7 +375,7 @@ TEST(ServeServer, ResultMatchesDirectEngineRun) {
     const graph::LeanIngest ingest = io::load_graph_file(gfa);
     core::LayoutConfig cfg;
     cfg.iter_max = 4;
-    auto engine = core::make_engine("cpu-batched");
+    auto engine = core::make_engine("cpu-soa");
     engine->init(ingest.graph, cfg);
     expect_same_layout(io::read_layout_file(done.artifact),
                        engine->run().layout);
@@ -541,7 +541,7 @@ TEST(ServeDaemon, LineProtocolEndToEnd) {
 
     const serve::JsonValue submitted = serve::json_parse(serve::send_request(
         sock, R"({"cmd":"submit","graph":")" + gfa +
-                  R"(","config":{"backend":"cpu-batched","iters":4}})"));
+                  R"(","config":{"backend":"cpu-soa","iters":4}})"));
     ASSERT_TRUE(submitted.find("ok")->as_bool()) << submitted.dump();
     const std::uint64_t id = submitted.find("id")->as_uint();
 

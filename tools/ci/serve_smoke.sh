@@ -30,7 +30,7 @@ PGL="${BUILD}/pgl_layout"
 rm -rf "${WORKDIR}"
 mkdir -p "${WORKDIR}"
 
-"${BUILD}/whole_genome_layout" "${WORKDIR}" 3 0.0002 cpu-batched
+"${BUILD}/whole_genome_layout" "${WORKDIR}" 3 0.0002 cpu-soa
 GFA="${WORKDIR}/whole_genome.gfa"
 
 "${SERVE}" serve --socket "${SOCK}" --cache-dir "${CACHE}" --workers 2 \
@@ -55,13 +55,15 @@ backends="$("${PGL}" --list-backends)"
 test -n "${backends}"
 echo "serve-smoke backends:" ${backends}
 
-# --- concurrent burst: one job per backend + one duplicate config -------
-# threads stays 1 so every backend (including the Hogwild scalar engines)
-# is deterministic and the byte-identity check below is exact.
+# --- concurrent burst: every backend's config submitted twice ----------
+# Each config's second submit joins (or is served from) the first, and
+# the burst stays >= 8 jobs with five backends. threads stays 1 so every
+# backend (including the Hogwild cpu-soa) is deterministic and the
+# byte-identity check below is exact.
 first_backend="$(echo "${backends}" | head -n 1)"
 pids=()
 names=()
-for backend in ${backends} "${first_backend}"; do
+for backend in ${backends} ${backends}; do
     out="${WORKDIR}/serve.${backend}.${#pids[@]}.lay"
     "${SERVE}" submit --socket "${SOCK}" --graph "${GFA}" \
         --backend "${backend}" --iters 3 --factor 0.5 \
@@ -104,13 +106,13 @@ echo "resubmit of ${first_backend} config served from cache"
 # Occupy both workers with long jobs, then queue a victim: the cancel is
 # guaranteed to land before the victim starts running.
 long1=$("${SERVE}" submit --socket "${SOCK}" --graph "${GFA}" \
-    --backend cpu-batched --iters 2000 --seed 101 |
+    --backend cpu-soa --iters 2000 --seed 101 |
     python3 -c "import sys,json;print(json.load(sys.stdin)['id'])")
 long2=$("${SERVE}" submit --socket "${SOCK}" --graph "${GFA}" \
-    --backend cpu-batched --iters 2000 --seed 102 |
+    --backend cpu-soa --iters 2000 --seed 102 |
     python3 -c "import sys,json;print(json.load(sys.stdin)['id'])")
 victim=$("${SERVE}" submit --socket "${SOCK}" --graph "${GFA}" \
-    --backend cpu-batched --iters 2000 --seed 103 |
+    --backend cpu-soa --iters 2000 --seed 103 |
     python3 -c "import sys,json;print(json.load(sys.stdin)['id'])")
 "${SERVE}" cancel --socket "${SOCK}" --id "${victim}" | grep -q '"ok":true'
 "${SERVE}" request --socket "${SOCK}" \

@@ -53,7 +53,7 @@ list_kernels() {
 # generated once per script run.
 ensure_genome() {
     if [ ! -f "${GENOME}" ]; then
-        "${BUILD}/whole_genome_layout" "${WORKDIR}" 3 0.0002 cpu-batched
+        "${BUILD}/whole_genome_layout" "${WORKDIR}" 3 0.0002 cpu-soa
     fi
 }
 
@@ -89,9 +89,9 @@ suite_kernels() {
                 --backend "${backend}" --kernel "${kernel}" \
                 --iters 3 --factor 0.5 --threads 2
         done
-        # The Hogwild scalar engines are nondeterministic with threads > 1,
+        # The Hogwild cpu-soa engine is nondeterministic with threads > 1,
         # so the byte contract is asserted on the deterministic backends.
-        if [ "${backend}" != "cpu-soa" ] && [ "${backend}" != "cpu-aos" ]; then
+        if [ "${backend}" != "cpu-soa" ]; then
             cmp "${WORKDIR}/${backend}.scalar.lay" \
                 "${WORKDIR}/${backend}.simd.lay"
         fi
@@ -117,7 +117,7 @@ suite_multilevel() {
     # wall-clock (coarsen + layout + interpolate + refine vs flat layout).
     local mldir="${WORKDIR}/multilevel_smoke"
     mkdir -p "${mldir}"
-    "${BUILD}/whole_genome_layout" "${mldir}" 1 0.001 cpu-batched 4
+    "${BUILD}/whole_genome_layout" "${mldir}" 1 0.001 cpu-soa 4
     local common="-i ${mldir}/whole_genome.gfa --backend cpu-pipelined \
                   --iters 6 --stress --timing"
     "${PGL}" ${common} -o "${mldir}/flat.lay" \
