@@ -40,14 +40,16 @@ core::Layout layout_fixed_hop(const graph::LeanGraph& g,
             const std::uint32_t i =
                 static_cast<std::uint32_t>(rng.next_bounded(n - hops));
             const std::uint32_t j = i + hops;  // ALWAYS exactly `hops` away
-            const std::uint32_t ni = g.step_node(p, i);
-            const std::uint32_t nj = g.step_node(p, j);
+            const graph::PathStepRecord& ri = g.step_record(p, i);
+            const graph::PathStepRecord& rj = g.step_record(p, j);
+            const std::uint32_t ni = ri.node;
+            const std::uint32_t nj = rj.node;
             const core::End ei = rng.flip_coin() ? core::End::kStart : core::End::kEnd;
             const core::End ej = rng.flip_coin() ? core::End::kStart : core::End::kEnd;
             const std::uint64_t pi = core::endpoint_path_position(
-                g.step_position(p, i), g.node_length(ni), g.step_is_reverse(p, i), ei);
+                ri.position, g.node_length(ni), ri.orient != 0, ei);
             const std::uint64_t pj = core::endpoint_path_position(
-                g.step_position(p, j), g.node_length(nj), g.step_is_reverse(p, j), ej);
+                rj.position, g.node_length(nj), rj.orient != 0, ej);
             if (pi == pj) continue;
             const double d_ref =
                 static_cast<double>(pi > pj ? pi - pj : pj - pi);

@@ -102,17 +102,17 @@ public:
             return t;
         }
 
-        t.node_i = g_->step_node(t.path, t.step_i);
-        t.node_j = g_->step_node(t.path, t.step_j);
+        const graph::PathStepRecord& ri = g_->step_record(t.path, t.step_i);
+        const graph::PathStepRecord& rj = g_->step_record(t.path, t.step_j);
+        t.node_i = ri.node;
+        t.node_j = rj.node;
         t.end_i = rng.flip_coin() ? End::kStart : End::kEnd;
         t.end_j = rng.flip_coin() ? End::kStart : End::kEnd;
 
-        t.pos_i = endpoint_path_position(
-            g_->step_position(t.path, t.step_i), g_->node_length(t.node_i),
-            g_->step_is_reverse(t.path, t.step_i), t.end_i);
-        t.pos_j = endpoint_path_position(
-            g_->step_position(t.path, t.step_j), g_->node_length(t.node_j),
-            g_->step_is_reverse(t.path, t.step_j), t.end_j);
+        t.pos_i = endpoint_path_position(ri.position, g_->node_length(ri.node),
+                                         ri.orient != 0, t.end_i);
+        t.pos_j = endpoint_path_position(rj.position, g_->node_length(rj.node),
+                                         rj.orient != 0, t.end_j);
         const std::uint64_t d = t.pos_i > t.pos_j ? t.pos_i - t.pos_j
                                                   : t.pos_j - t.pos_i;
         if (d == 0) {

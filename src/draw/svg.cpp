@@ -64,8 +64,9 @@ void write_svg(const graph::LeanGraph& g, const core::Layout& l,
         out << "<g stroke=\"" << opt.highlight_color << "\" stroke-width=\""
             << opt.stroke_width * 1.5 << "\" fill=\"none\">\n<polyline points=\"";
         for (std::uint32_t i = 0; i < g.path_step_count(p); ++i) {
-            const std::uint32_t node = g.step_node(p, i);
-            const bool rev = g.step_is_reverse(p, i);
+            const graph::PathStepRecord& r = g.step_record(p, i);
+            const std::uint32_t node = r.node;
+            const bool rev = r.orient != 0;
             const float x0 = rev ? l.end_x[node] : l.start_x[node];
             const float y0 = rev ? l.end_y[node] : l.start_y[node];
             const float x1 = rev ? l.start_x[node] : l.end_x[node];

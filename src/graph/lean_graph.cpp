@@ -6,63 +6,36 @@
 
 namespace pgl::graph {
 
-void LeanGraph::steps_add(Handle h, std::uint64_t& pos) {
-    const std::uint32_t len = node_len_[h.id()];
-    step_node_.push_back(h.id());
-    step_pos_.push_back(pos);
-    step_orient_.push_back(h.is_reverse() ? 1 : 0);
-    step_records_.push_back(PathStepRecord{h.id(), h.is_reverse() ? 1u : 0u, pos});
-    pos += len;
+namespace {
+
+// Every construction route feeds its walks through LeanGraphBuilder, so
+// identical walks yield bit-identical step records.
+void add_walk(LeanGraphBuilder& b, const std::vector<Handle>& steps) {
+    b.begin_path();
+    for (const Handle& h : steps) b.add_step(h);
+    b.end_path();
 }
 
-void LeanGraph::steps_end_path(std::uint64_t pos) {
-    path_offset_.push_back(static_cast<std::uint32_t>(step_node_.size()));
-    path_nuc_len_.push_back(pos);
-    total_path_nuc_ += pos;
-    max_path_nuc_len_ = std::max(max_path_nuc_len_, pos);
-}
-
-// Appends one path walk, recomputing cumulative nucleotide positions.
-// Shared by both builders so identical walks yield bit-identical records.
-void LeanGraph::append_path(const std::vector<Handle>& steps) {
-    std::uint64_t pos = 0;
-    for (const Handle& h : steps) steps_add(h, pos);
-    steps_end_path(pos);
-}
+}  // namespace
 
 LeanGraph LeanGraph::from_graph(const VariationGraph& g) {
-    LeanGraph lg;
-    lg.node_len_.resize(g.node_count());
-    for (NodeId id = 0; id < g.node_count(); ++id) {
-        lg.node_len_[id] = g.node_length(id);
-    }
-
-    const std::uint64_t total_steps = g.total_path_steps();
-    lg.path_offset_.reserve(g.path_count() + 1);
-    lg.step_node_.reserve(total_steps);
-    lg.step_pos_.reserve(total_steps);
-    lg.step_orient_.reserve(total_steps);
-    lg.step_records_.reserve(total_steps);
-    lg.path_nuc_len_.reserve(g.path_count());
-
-    lg.path_offset_.push_back(0);
-    for (const PathRecord& p : g.paths()) {
-        lg.append_path(p.steps);
-    }
-    return lg;
+    LeanGraphBuilder b;
+    b.reserve_nodes(g.node_count());
+    for (NodeId id = 0; id < g.node_count(); ++id) b.add_node(g.node_length(id));
+    b.reserve_paths(g.path_count());
+    b.reserve_steps(g.total_path_steps());
+    for (const PathRecord& p : g.paths()) add_walk(b, p.steps);
+    return b.finish();
 }
 
-LeanGraph LeanGraph::from_parts(std::vector<std::uint32_t> node_lengths,
+LeanGraph LeanGraph::from_parts(const std::vector<std::uint32_t>& node_lengths,
                                 const std::vector<std::vector<Handle>>& paths) {
-    LeanGraph lg;
-    lg.node_len_ = std::move(node_lengths);
-    lg.path_offset_.reserve(paths.size() + 1);
-    lg.path_nuc_len_.reserve(paths.size());
-    lg.path_offset_.push_back(0);
-    for (const auto& steps : paths) {
-        lg.append_path(steps);
-    }
-    return lg;
+    LeanGraphBuilder b;
+    b.reserve_nodes(node_lengths.size());
+    for (const std::uint32_t len : node_lengths) b.add_node(len);
+    b.reserve_paths(paths.size());
+    for (const auto& steps : paths) add_walk(b, steps);
+    return b.finish();
 }
 
 NodeId LeanGraphBuilder::add_node(std::uint32_t length) {
@@ -76,32 +49,30 @@ void LeanGraphBuilder::reserve_paths(std::size_t n) {
     g_.path_nuc_len_.reserve(n);
 }
 
-void LeanGraphBuilder::reserve_steps(std::uint64_t n) {
-    g_.step_node_.reserve(n);
-    g_.step_pos_.reserve(n);
-    g_.step_orient_.reserve(n);
-    g_.step_records_.reserve(n);
-}
-
 void LeanGraphBuilder::begin_path() {
     assert(!in_path_);
     in_path_ = true;
     pos_ = 0;
 }
 
+// Positions are cumulative nucleotide offsets within the path.
 void LeanGraphBuilder::add_step(Handle h) {
     assert(in_path_);
     if (h.id() >= g_.node_len_.size()) {
         throw std::out_of_range("LeanGraphBuilder: step references unknown node");
     }
-    g_.steps_add(h, pos_);
+    g_.step_records_.push_back(PathStepRecord{h.id(), h.is_reverse() ? 1u : 0u, pos_});
+    pos_ += g_.node_len_[h.id()];
 }
 
 std::uint32_t LeanGraphBuilder::end_path() {
     assert(in_path_);
     in_path_ = false;
     const std::uint32_t n = static_cast<std::uint32_t>(current_path_steps());
-    g_.steps_end_path(pos_);
+    g_.path_offset_.push_back(static_cast<std::uint32_t>(g_.step_records_.size()));
+    g_.path_nuc_len_.push_back(pos_);
+    g_.total_path_nuc_ += pos_;
+    g_.max_path_nuc_len_ = std::max(g_.max_path_nuc_len_, pos_);
     return n;
 }
 

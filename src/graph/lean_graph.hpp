@@ -6,11 +6,11 @@
 // the odgi pipeline): reference distances d_ref are differences of the
 // per-step nucleotide positions stored here.
 //
-// Two physical layouts of the step records are provided because the paper's
-// first optimization (cache-friendly data layout, Sec. V-B1) is exactly the
-// SoA -> AoS repacking of this data:
-//   * SoA ("original"): three parallel arrays (node, position, orientation);
-//   * AoS ("cache-friendly"): one packed 16-byte record per step.
+// Each step is stored once, as the packed 16-byte record of the paper's
+// cache-friendly data layout (Sec. V-B1): one load fetches the node id,
+// orientation and position of a step. The original ODGI-style form (three
+// parallel arrays) survives only as an address model in memsim/gpusim,
+// which replay both layouts' access streams without storing either.
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -19,7 +19,7 @@
 
 namespace pgl::graph {
 
-/// Packed per-step record for the AoS (cache-friendly) layout.
+/// Packed per-step record (the cache-friendly layout).
 /// 16 bytes: a whole record fits in a quarter cache line, so one access
 /// fetches everything an update step needs about the step.
 struct PathStepRecord {
@@ -35,12 +35,10 @@ public:
     static LeanGraph from_graph(const VariationGraph& g);
 
     /// Builds a lean graph directly from node lengths and path walks,
-    /// bypassing the rich VariationGraph. This is how the partition
-    /// subsystem materializes per-component subgraphs: node ids are the
-    /// indices into `node_lengths`, and step positions are recomputed as
-    /// cumulative nucleotide offsets exactly as from_graph() does, so a
-    /// sliced path yields bit-identical step records to the original.
-    static LeanGraph from_parts(std::vector<std::uint32_t> node_lengths,
+    /// bypassing the rich VariationGraph: node ids are the indices into
+    /// `node_lengths`. Both factories run through LeanGraphBuilder, so a
+    /// walk yields the same step records by every route.
+    static LeanGraph from_parts(const std::vector<std::uint32_t>& node_lengths,
                                 const std::vector<std::vector<Handle>>& paths);
 
     std::uint32_t node_count() const noexcept {
@@ -60,25 +58,14 @@ public:
     /// Nucleotide length of path p.
     std::uint64_t path_nuc_length(std::uint64_t p) const { return path_nuc_len_[p]; }
 
-    std::uint64_t total_path_steps() const noexcept { return step_node_.size(); }
+    std::uint64_t total_path_steps() const noexcept { return step_records_.size(); }
     std::uint64_t total_path_nucleotides() const noexcept { return total_path_nuc_; }
 
     /// Longest reference distance appearing in any path (used to scale the
     /// SGD learning-rate schedule).
     std::uint64_t max_path_nuc_length() const noexcept { return max_path_nuc_len_; }
 
-    // --- SoA accessors (original ODGI-style layout) ---
-    std::uint32_t step_node(std::uint32_t p, std::uint32_t i) const {
-        return step_node_[path_offset_[p] + i];
-    }
-    std::uint64_t step_position(std::uint32_t p, std::uint32_t i) const {
-        return step_pos_[path_offset_[p] + i];
-    }
-    bool step_is_reverse(std::uint32_t p, std::uint32_t i) const {
-        return step_orient_[path_offset_[p] + i] != 0;
-    }
-
-    // --- AoS accessor (cache-friendly layout) ---
+    /// Step i of path p.
     const PathStepRecord& step_record(std::uint32_t p, std::uint32_t i) const {
         return step_records_[path_offset_[p] + i];
     }
@@ -96,22 +83,11 @@ public:
 private:
     friend class LeanGraphBuilder;
 
-    void append_path(const std::vector<Handle>& steps);
-
-    // Step-at-a-time path construction shared by append_path and the
-    // streaming builder, so every ingestion route yields bit-identical
-    // step records for the same walk.
-    void steps_add(Handle h, std::uint64_t& pos);
-    void steps_end_path(std::uint64_t pos);
-
     std::vector<std::uint32_t> node_len_;
 
     // CSR-style flattened paths.
-    std::vector<std::uint32_t> path_offset_;  // size P + 1
-    std::vector<std::uint32_t> step_node_;    // SoA
-    std::vector<std::uint64_t> step_pos_;     // SoA
-    std::vector<std::uint8_t> step_orient_;   // SoA
-    std::vector<PathStepRecord> step_records_;  // AoS mirror
+    std::vector<std::uint32_t> path_offset_;    // size P + 1
+    std::vector<PathStepRecord> step_records_;  // path-major
 
     std::vector<std::uint64_t> path_nuc_len_;
     std::uint64_t total_path_nuc_ = 0;
@@ -121,9 +97,9 @@ private:
 /// Incremental LeanGraph construction for streaming ingestion: nodes are
 /// registered as their lengths become known (S records), then paths are fed
 /// one step at a time (P walks / W walks / cached step tables) without ever
-/// materializing a per-path Handle vector, let alone a VariationGraph. The
-/// cumulative-position arithmetic is LeanGraph's own, so a builder-made
-/// graph is bit-identical to from_graph()/from_parts() on the same walks.
+/// materializing a per-path Handle vector, let alone a VariationGraph.
+/// from_graph(), from_parts() and the partition slicer build through it
+/// too, so every route yields bit-identical step records for a walk.
 class LeanGraphBuilder {
 public:
     LeanGraphBuilder() { g_.path_offset_.push_back(0); }
@@ -134,7 +110,7 @@ public:
 
     void reserve_nodes(std::size_t n) { g_.node_len_.reserve(n); }
     void reserve_paths(std::size_t n);
-    void reserve_steps(std::uint64_t n);
+    void reserve_steps(std::uint64_t n) { g_.step_records_.reserve(n); }
 
     /// Starts a new path; steps are appended with add_step until end_path.
     void begin_path();
@@ -148,7 +124,7 @@ public:
         return static_cast<std::uint32_t>(g_.path_nuc_len_.size());
     }
     std::uint64_t current_path_steps() const noexcept {
-        return g_.step_node_.size() - g_.path_offset_.back();
+        return g_.step_records_.size() - g_.path_offset_.back();
     }
 
     /// Extracts the finished graph; the builder must not be reused after.

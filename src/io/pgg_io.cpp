@@ -1,5 +1,6 @@
 #include "io/pgg_io.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -184,7 +185,8 @@ graph::LeanIngest read_pgg(std::istream& in) {
     const auto total_steps = r.get_int<std::uint64_t>();
     const auto component_count = r.get_int<std::uint32_t>();
     if (node_count > kMaxNodes || total_steps > kMaxSteps ||
-        path_count > total_steps + 1) {
+        path_count > total_steps + 1 ||
+        component_count > std::max<std::uint64_t>(node_count, 1)) {
         throw std::runtime_error("graph cache corrupt: implausible header counts");
     }
     // Cross-check the declared payload against the bytes actually present
@@ -270,6 +272,13 @@ graph::LeanIngest read_pgg(std::istream& in) {
                 if (h.id() >= node_count) {
                     throw std::runtime_error(
                         "graph cache corrupt: step references unknown node");
+                }
+                // The partition slicer trusts these labels to index each
+                // component's node table; a step outside its path's
+                // component would index another component's.
+                if (out.node_component[h.id()] != out.path_component[p]) {
+                    throw std::runtime_error(
+                        "graph cache corrupt: step outside its path's component");
                 }
                 builder.add_step(h);
             }

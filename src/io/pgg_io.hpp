@@ -43,7 +43,9 @@ void write_pgg_graph(const graph::LeanGraph& g, std::ostream& out);
 void write_pgg_graph_file(const graph::LeanGraph& g, const std::string& path);
 
 /// Throws std::runtime_error on bad magic, truncated data, implausible
-/// header counts or checksum mismatch.
+/// header counts (including more components than nodes), a step whose
+/// node is labeled with a component other than its path's, or checksum
+/// mismatch.
 graph::LeanIngest read_pgg(std::istream& in);
 graph::LeanIngest read_pgg_file(const std::string& path);
 

@@ -54,12 +54,14 @@ struct FlatCoords {
 inline bool endpoint_stress(const LeanGraph& g, const FlatCoords& c,
                             std::uint32_t p, std::uint32_t si, std::uint32_t sj,
                             End ei, End ej, double& out) noexcept {
-    const std::uint32_t ni = g.step_node(p, si);
-    const std::uint32_t nj = g.step_node(p, sj);
+    const graph::PathStepRecord& ri = g.step_record(p, si);
+    const graph::PathStepRecord& rj = g.step_record(p, sj);
+    const std::uint32_t ni = ri.node;
+    const std::uint32_t nj = rj.node;
     const std::uint64_t pi = core::endpoint_path_position(
-        g.step_position(p, si), g.node_length(ni), g.step_is_reverse(p, si), ei);
+        ri.position, g.node_length(ni), ri.orient != 0, ei);
     const std::uint64_t pj = core::endpoint_path_position(
-        g.step_position(p, sj), g.node_length(nj), g.step_is_reverse(p, sj), ej);
+        rj.position, g.node_length(nj), rj.orient != 0, ej);
     const std::uint64_t d = pi > pj ? pi - pj : pj - pi;
     if (d == 0) return false;
     const double d_ref = static_cast<double>(d);

@@ -24,57 +24,6 @@ ComponentLabels finalize_labels(UnionFind& uf, std::uint32_t n_nodes) {
     return labels;
 }
 
-/// Builds the subgraphs + remap tables common to both decompose overloads.
-/// `node_length(v)` and the path walks come from the source graph via the
-/// two callables, so the rich and lean paths share one implementation.
-template <typename NodeLengthFn, typename PathStepsFn>
-Decomposition build_decomposition(ComponentLabels labels, std::uint32_t n_nodes,
-                                  std::uint64_t n_paths, NodeLengthFn&& node_length,
-                                  PathStepsFn&& path_steps) {
-    Decomposition d;
-    d.labels = std::move(labels);
-    d.components.resize(d.labels.count);
-    d.local_node.assign(n_nodes, 0);
-
-    // Node remap: local ids ascend with global ids inside each component.
-    for (std::uint32_t v = 0; v < n_nodes; ++v) {
-        auto& comp = d.components[d.labels.node_component[v]];
-        d.local_node[v] = static_cast<std::uint32_t>(comp.global_node.size());
-        comp.global_node.push_back(v);
-    }
-
-    // Per-component node lengths and sliced path walks.
-    std::vector<std::vector<std::uint32_t>> lengths(d.labels.count);
-    std::vector<std::vector<std::vector<graph::Handle>>> walks(d.labels.count);
-    for (std::uint32_t c = 0; c < d.labels.count; ++c) {
-        lengths[c].reserve(d.components[c].global_node.size());
-        for (const graph::NodeId v : d.components[c].global_node) {
-            lengths[c].push_back(node_length(v));
-        }
-    }
-    for (std::uint64_t p = 0; p < n_paths; ++p) {
-        // label_components already assigned the path; kNoComponent marks an
-        // empty path, which belongs to no component.
-        const std::uint32_t c = d.labels.path_component[p];
-        if (c == kNoComponent) continue;
-        decltype(auto) steps = path_steps(p);
-        std::vector<graph::Handle> local;
-        local.reserve(steps.size());
-        for (const graph::Handle& h : steps) {
-            assert(d.labels.node_component[h.id()] == c);
-            local.push_back(graph::Handle::make(d.local_node[h.id()], h.is_reverse()));
-        }
-        d.components[c].global_path.push_back(static_cast<std::uint32_t>(p));
-        walks[c].push_back(std::move(local));
-    }
-
-    for (std::uint32_t c = 0; c < d.labels.count; ++c) {
-        d.components[c].graph =
-            graph::LeanGraph::from_parts(std::move(lengths[c]), walks[c]);
-    }
-    return d;
-}
-
 }  // namespace
 
 ComponentLabels label_components(const graph::VariationGraph& g) {
@@ -106,14 +55,14 @@ ComponentLabels label_components(const graph::LeanGraph& g) {
     for (std::uint32_t p = 0; p < g.path_count(); ++p) {
         const std::uint32_t n_steps = g.path_step_count(p);
         for (std::uint32_t i = 1; i < n_steps; ++i) {
-            uf.unite(g.step_node(p, i - 1), g.step_node(p, i));
+            uf.unite(g.step_record(p, i - 1).node, g.step_record(p, i).node);
         }
     }
     ComponentLabels labels = finalize_labels(uf, g.node_count());
     labels.path_component.assign(g.path_count(), kNoComponent);
     for (std::uint32_t p = 0; p < g.path_count(); ++p) {
         if (g.path_step_count(p) > 0) {
-            labels.path_component[p] = labels.node_component[g.step_node(p, 0)];
+            labels.path_component[p] = labels.node_component[g.step_record(p, 0).node];
         }
     }
     return labels;
@@ -129,32 +78,61 @@ ComponentLabels take_labels(graph::LeanIngest& ing) {
 }
 
 Decomposition decompose(const graph::VariationGraph& g) {
-    return build_decomposition(
-        label_components(g), static_cast<std::uint32_t>(g.node_count()),
-        g.path_count(), [&](graph::NodeId v) { return g.node_length(v); },
-        [&](std::uint64_t p) -> const std::vector<graph::Handle>& {
-            return g.path(p).steps;
-        });
+    // The lean copy carries the same node lengths and walks; the labels
+    // come from the rich graph's edge + path connectivity.
+    return decompose(graph::LeanGraph::from_graph(g), label_components(g));
 }
 
 Decomposition decompose(const graph::LeanGraph& g) {
     return decompose(g, label_components(g));
 }
 
+// Each component is built through its own LeanGraphBuilder, straight from
+// the source step records remapped to local node ids.
 Decomposition decompose(const graph::LeanGraph& g, ComponentLabels labels) {
-    return build_decomposition(
-        std::move(labels), g.node_count(), g.path_count(),
-        [&](graph::NodeId v) { return g.node_length(v); },
-        [&](std::uint64_t p) {
-            const auto pi = static_cast<std::uint32_t>(p);
-            std::vector<graph::Handle> steps;
-            steps.reserve(g.path_step_count(pi));
-            for (std::uint32_t i = 0; i < g.path_step_count(pi); ++i) {
-                steps.push_back(graph::Handle::make(g.step_node(pi, i),
-                                                    g.step_is_reverse(pi, i)));
-            }
-            return steps;
-        });
+    Decomposition d;
+    d.labels = std::move(labels);
+    d.components.resize(d.labels.count);
+    d.local_node.assign(g.node_count(), 0);
+    std::vector<graph::LeanGraphBuilder> builders(d.labels.count);
+
+    // Node remap: local ids ascend with global ids inside each component.
+    for (std::uint32_t v = 0; v < g.node_count(); ++v) {
+        const std::uint32_t c = d.labels.node_component[v];
+        d.local_node[v] = builders[c].add_node(g.node_length(v));
+        d.components[c].global_node.push_back(v);
+    }
+
+    // Size each component's step table before the walks arrive.
+    std::vector<std::uint64_t> step_counts(d.labels.count, 0);
+    for (std::uint32_t p = 0; p < g.path_count(); ++p) {
+        const std::uint32_t c = d.labels.path_component[p];
+        if (c != kNoComponent) step_counts[c] += g.path_step_count(p);
+    }
+    for (std::uint32_t c = 0; c < d.labels.count; ++c) {
+        builders[c].reserve_steps(step_counts[c]);
+    }
+
+    for (std::uint32_t p = 0; p < g.path_count(); ++p) {
+        // label_components already assigned the path; kNoComponent marks an
+        // empty path, which belongs to no component.
+        const std::uint32_t c = d.labels.path_component[p];
+        if (c == kNoComponent) continue;
+        graph::LeanGraphBuilder& b = builders[c];
+        b.begin_path();
+        for (std::uint32_t i = 0; i < g.path_step_count(p); ++i) {
+            const graph::PathStepRecord& r = g.step_record(p, i);
+            assert(d.labels.node_component[r.node] == c);
+            b.add_step(graph::Handle::make(d.local_node[r.node], r.orient != 0));
+        }
+        b.end_path();
+        d.components[c].global_path.push_back(p);
+    }
+
+    for (std::uint32_t c = 0; c < d.labels.count; ++c) {
+        d.components[c].graph = builders[c].finish();
+    }
+    return d;
 }
 
 }  // namespace pgl::partition

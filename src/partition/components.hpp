@@ -83,7 +83,9 @@ Decomposition decompose(const graph::LeanGraph& g);
 /// the streaming ingestion path, whose reader builds edge + path
 /// connectivity with a union-find while parsing (graph::LeanIngest), so the
 /// decomposition matches the rich-graph overload without a VariationGraph
-/// ever existing. `labels` must cover exactly the graph's nodes and paths.
+/// ever existing. `labels` must cover exactly the graph's nodes and paths,
+/// and every path's steps must lie in that path's component (io::read_pgg
+/// rejects cached labels that break this).
 Decomposition decompose(const graph::LeanGraph& g, ComponentLabels labels);
 
 }  // namespace pgl::partition

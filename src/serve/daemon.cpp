@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -21,6 +22,10 @@
 namespace pgl::serve {
 
 namespace {
+
+/// Longest request line the daemon buffers; a longer one is answered with
+/// an error and the connection is closed.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 [[noreturn]] void throw_errno(const std::string& what) {
     throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -99,9 +104,19 @@ JsonValue histogram_json(const telemetry::Histogram& h) {
 struct Daemon::Impl {
     int listen_fd = -1;
     std::atomic<bool> stop{false};
-    std::mutex mutex;                ///< guards conn_fds / threads
-    std::vector<int> conn_fds;
-    std::vector<std::thread> threads;
+    std::mutex mutex;                   ///< guards conns / finished
+    std::map<int, std::thread> conns;   ///< open connection fd -> its handler
+    std::vector<std::thread> finished;  ///< handlers whose fd is closed
+
+    /// Joins every handler moved to `finished`.
+    void reap() {
+        std::vector<std::thread> done;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            done.swap(finished);
+        }
+        for (auto& t : done) t.join();
+    }
 };
 
 Daemon::Daemon(DaemonOptions opt)
@@ -156,6 +171,7 @@ void Daemon::run() {
     // Accept loop: poll with a short timeout so a stop() from a signal
     // handler or a shutdown command is observed promptly.
     while (!impl.stop.load(std::memory_order_relaxed)) {
+        impl.reap();
         pollfd pfd{impl.listen_fd, POLLIN, 0};
         const int rc = ::poll(&pfd, 1, 200);
         if (rc < 0) {
@@ -166,8 +182,7 @@ void Daemon::run() {
         const int fd = ::accept(impl.listen_fd, nullptr, nullptr);
         if (fd < 0) continue;
         std::lock_guard<std::mutex> lock(impl.mutex);
-        impl.conn_fds.push_back(fd);
-        impl.threads.emplace_back([this, fd] { handle_connection(fd); });
+        impl.conns.emplace(fd, std::thread([this, fd] { handle_connection(fd); }));
     }
 
     ::close(impl.listen_fd);
@@ -176,26 +191,40 @@ void Daemon::run() {
     server_.shutdown();
     {
         std::lock_guard<std::mutex> lock(impl.mutex);
-        for (const int fd : impl.conn_fds) ::shutdown(fd, SHUT_RDWR);
+        for (auto& [fd, t] : impl.conns) {
+            ::shutdown(fd, SHUT_RDWR);
+            impl.finished.push_back(std::move(t));
+        }
+        impl.conns.clear();
     }
-    for (auto& t : impl.threads) t.join();
+    impl.reap();
     ::unlink(opt_.socket_path.c_str());
     impl_ = nullptr;
 }
 
 void Daemon::handle_connection(int fd) {
-    std::string buf;
+    std::string buf;  // the unfinished line; holds no '\n' between reads
     char chunk[4096];
     bool open = true;
+    const auto reject_long_line = [&] {
+        send_all(fd, error_line("line too long"));
+        open = false;
+    };
     while (open) {
         const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
         if (n < 0 && errno == EINTR) continue;
         if (n <= 0) break;
+        std::size_t scan = buf.size();  // only the new bytes can end a line
         buf.append(chunk, static_cast<std::size_t>(n));
+        std::size_t start = 0;
         std::size_t pos;
-        while (open && (pos = buf.find('\n')) != std::string::npos) {
-            const std::string line = buf.substr(0, pos);
-            buf.erase(0, pos + 1);
+        while (open && (pos = buf.find('\n', scan)) != std::string::npos) {
+            if (pos - start > kMaxLineBytes) {
+                reject_long_line();
+                break;
+            }
+            const std::string line = buf.substr(start, pos - start);
+            start = scan = pos + 1;
             if (line.empty()) continue;
             bool want_shutdown = false;
             const std::string response = handle_line(line, want_shutdown);
@@ -204,6 +233,16 @@ void Daemon::handle_connection(int fd) {
                 impl_->stop.store(true, std::memory_order_relaxed);
                 open = false;  // response is out; let the accept loop wind down
             }
+        }
+        buf.erase(0, start);
+        if (open && buf.size() > kMaxLineBytes) reject_long_line();
+    }
+    // Leave `conns` before the fd number can be reused, and hand this
+    // thread to the accept loop to join (unless shutdown already took it).
+    {
+        std::lock_guard<std::mutex> lock(impl_->mutex);
+        if (auto node = impl_->conns.extract(fd)) {
+            impl_->finished.push_back(std::move(node.mapped()));
         }
     }
     ::close(fd);

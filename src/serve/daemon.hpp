@@ -18,7 +18,10 @@
 //   shutdown  -> stop accepting, cancel in-flight work, exit the run loop
 //
 // Connections are handled one thread each (a blocking "result wait" must
-// not stall other clients); the accept loop polls so shutdown is prompt.
+// not stall other clients); the accept loop polls so shutdown is prompt,
+// and joins the thread of every connection that has closed. A request line
+// is capped at 1 MiB: a longer one is answered with
+// {"ok":false,"error":"line too long"} and the connection is closed.
 #include <cstdint>
 #include <string>
 

@@ -379,7 +379,7 @@ graph::LeanGraph generate_linear_runs(const LinearRunSpec& spec) {
     std::vector<std::uint32_t> node_lengths;
     std::vector<std::vector<Handle>> paths;
     append_linear_runs(spec, node_lengths, paths);
-    return graph::LeanGraph::from_parts(std::move(node_lengths), paths);
+    return graph::LeanGraph::from_parts(node_lengths, paths);
 }
 
 }  // namespace pgl::workloads

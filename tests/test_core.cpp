@@ -215,7 +215,8 @@ TEST(PairSampler, ProducesValidTerms) {
         ASSERT_LT(t.step_j, g.path_step_count(t.path));
         ASSERT_NE(t.step_i, t.step_j);
         ASSERT_GT(t.d_ref, 0.0);
-        ASSERT_EQ(t.node_i, g.step_node(t.path, t.step_i));
+        ASSERT_EQ(t.node_i, g.step_record(t.path, t.step_i).node);
+        ASSERT_EQ(t.node_j, g.step_record(t.path, t.step_j).node);
     }
     EXPECT_GT(valid, 4000);
 }

@@ -288,24 +288,11 @@ TEST(LeanGraph, StepPositionsArePrefixSums) {
     const auto g = make_fig1_graph();
     const auto lg = LeanGraph::from_graph(g);
     // path0 = v0(2) v2(2) v4(2) v5(2) v6(2) v7(1)
-    EXPECT_EQ(lg.step_position(0, 0), 0u);
-    EXPECT_EQ(lg.step_position(0, 1), 2u);
-    EXPECT_EQ(lg.step_position(0, 2), 4u);
-    EXPECT_EQ(lg.step_position(0, 5), 10u);
+    EXPECT_EQ(lg.step_record(0, 0).position, 0u);
+    EXPECT_EQ(lg.step_record(0, 1).position, 2u);
+    EXPECT_EQ(lg.step_record(0, 2).position, 4u);
+    EXPECT_EQ(lg.step_record(0, 5).position, 10u);
     EXPECT_EQ(lg.path_nuc_length(0), 11u);
-}
-
-TEST(LeanGraph, SoAAndAoSViewsAgree) {
-    const auto g = make_fig1_graph();
-    const auto lg = LeanGraph::from_graph(g);
-    for (std::uint32_t p = 0; p < lg.path_count(); ++p) {
-        for (std::uint32_t i = 0; i < lg.path_step_count(p); ++i) {
-            const auto& rec = lg.step_record(p, i);
-            EXPECT_EQ(rec.node, lg.step_node(p, i));
-            EXPECT_EQ(rec.position, lg.step_position(p, i));
-            EXPECT_EQ(rec.orient != 0, lg.step_is_reverse(p, i));
-        }
-    }
 }
 
 TEST(LeanGraph, TotalsAndMaxima) {

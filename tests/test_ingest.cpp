@@ -71,10 +71,10 @@ TEST(GfaStream, ParsesSegmentsLinksPaths) {
     ASSERT_EQ(ing.path_names.size(), 2u);
     EXPECT_EQ(ing.path_names[0], "p1");
     // Orientation and positions of p1 = s1(4) s2rev(2) s3(1).
-    EXPECT_FALSE(ing.graph.step_is_reverse(0, 0));
-    EXPECT_TRUE(ing.graph.step_is_reverse(0, 1));
-    EXPECT_EQ(ing.graph.step_position(0, 1), 4u);
-    EXPECT_EQ(ing.graph.step_position(0, 2), 6u);
+    EXPECT_EQ(ing.graph.step_record(0, 0).orient, 0u);
+    EXPECT_EQ(ing.graph.step_record(0, 1).orient, 1u);
+    EXPECT_EQ(ing.graph.step_record(0, 1).position, 4u);
+    EXPECT_EQ(ing.graph.step_record(0, 2).position, 6u);
     EXPECT_EQ(ing.graph.path_nuc_length(0), 7u);
     // One connected component; every node and path labeled 0.
     EXPECT_EQ(ing.component_count, 1u);
@@ -95,9 +95,9 @@ TEST(GfaStream, ParsesWalkRecords) {
     EXPECT_EQ(ing.graph.path_count(), 2u);
     EXPECT_EQ(ing.path_names[0], "HG002#1#chr1:0-7");
     EXPECT_EQ(ing.path_names[1], "HG002#2#chr1");  // '*' range omitted
-    EXPECT_FALSE(ing.graph.step_is_reverse(0, 0));
-    EXPECT_TRUE(ing.graph.step_is_reverse(0, 1));   // '<' = reverse
-    EXPECT_FALSE(ing.graph.step_is_reverse(0, 2));
+    EXPECT_EQ(ing.graph.step_record(0, 0).orient, 0u);
+    EXPECT_EQ(ing.graph.step_record(0, 1).orient, 1u);  // '<' = reverse
+    EXPECT_EQ(ing.graph.step_record(0, 2).orient, 0u);
     EXPECT_EQ(ing.graph.path_nuc_length(0), 7u);
     // Walk steps connect the component even without L records.
     EXPECT_EQ(ing.component_count, 1u);
@@ -323,6 +323,36 @@ TEST(PggIo, RejectsChecksumMismatch) {
         EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
             << e.what();
     }
+}
+
+TEST(PggIo, RejectsStepsOutsideTheirPathsComponent) {
+    // A forged label table behind a valid checksum: one path claims
+    // component 0 while its steps live in another component. Partitioning
+    // such a graph would index component 0's node table with another
+    // component's local ids, so the loader must refuse it.
+    auto ing = make_ingest();
+    ASSERT_GE(ing.component_count, 2u);
+    std::size_t p = 0;
+    while (p < ing.path_component.size() && ing.path_component[p] == 0) ++p;
+    ASSERT_LT(p, ing.path_component.size());
+    ing.path_component[p] = 0;
+    const std::string path = ::testing::TempDir() + "/pgl_forged.pgg";
+    io::write_pgg_file(ing, path);
+    try {
+        io::read_pgg_file(path);
+        FAIL() << "forged component labels were accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("component"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PggIo, RejectsMoreComponentsThanNodes) {
+    auto ing = make_ingest();
+    ing.component_count = ing.graph.node_count() + 1;
+    std::stringstream ss;
+    io::write_pgg(ing, ss);
+    EXPECT_THROW(io::read_pgg(ss), std::runtime_error);
 }
 
 TEST(PggIo, FileRoundTripAndExtensionDispatch) {

@@ -152,7 +152,7 @@ TEST(Coarsen, RunsNeverSpanComponents) {
     const std::uint32_t first_nodes =
         static_cast<std::uint32_t>(node_lengths.size());
     workloads::append_linear_runs(spec, node_lengths, paths);
-    const auto g = graph::LeanGraph::from_parts(std::move(node_lengths), paths);
+    const auto g = graph::LeanGraph::from_parts(node_lengths, paths);
 
     const auto lvl = multilevel::coarsen(g);
     for (std::uint32_t c = 0; c < lvl.map.coarse_count(); ++c) {

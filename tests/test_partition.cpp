@@ -114,21 +114,26 @@ TEST(Components, DecompositionRemapTablesAreConsistent) {
 TEST(Components, PathSlicingIsExact) {
     const auto vg = small_genome(2);
     const auto lean = graph::LeanGraph::from_graph(vg);
-    const auto d = partition::decompose(vg);
-    for (std::uint32_t c = 0; c < d.count(); ++c) {
-        const auto& comp = d.components[c];
-        for (std::uint32_t lp = 0; lp < comp.graph.path_count(); ++lp) {
-            const std::uint32_t gp = comp.global_path[lp];
-            ASSERT_EQ(comp.graph.path_step_count(lp), lean.path_step_count(gp));
-            for (std::uint32_t i = 0; i < comp.graph.path_step_count(lp); ++i) {
-                EXPECT_EQ(comp.global_node[comp.graph.step_node(lp, i)],
-                          lean.step_node(gp, i));
-                EXPECT_EQ(comp.graph.step_is_reverse(lp, i),
-                          lean.step_is_reverse(gp, i));
-                EXPECT_EQ(comp.graph.step_position(lp, i),
-                          lean.step_position(gp, i));
+    // Both sources: the rich graph's Handle walks and the lean graph's
+    // step records must slice into identical component step records.
+    const partition::Decomposition decomps[] = {partition::decompose(vg),
+                                                partition::decompose(lean)};
+    for (const auto& d : decomps) {
+        ASSERT_GT(d.count(), 1u);
+        for (std::uint32_t c = 0; c < d.count(); ++c) {
+            const auto& comp = d.components[c];
+            for (std::uint32_t lp = 0; lp < comp.graph.path_count(); ++lp) {
+                const std::uint32_t gp = comp.global_path[lp];
+                ASSERT_EQ(comp.graph.path_step_count(lp), lean.path_step_count(gp));
+                for (std::uint32_t i = 0; i < comp.graph.path_step_count(lp); ++i) {
+                    const auto& local = comp.graph.step_record(lp, i);
+                    const auto& global = lean.step_record(gp, i);
+                    EXPECT_EQ(comp.global_node[local.node], global.node);
+                    EXPECT_EQ(local.orient, global.orient);
+                    EXPECT_EQ(local.position, global.position);
+                }
+                EXPECT_EQ(comp.graph.path_nuc_length(lp), lean.path_nuc_length(gp));
             }
-            EXPECT_EQ(comp.graph.path_nuc_length(lp), lean.path_nuc_length(gp));
         }
     }
 }

@@ -7,7 +7,12 @@
 // work exactly once, cooperative cancel with follower promotion, and the
 // socket daemon end to end.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -520,6 +525,36 @@ TEST(ServeServer, SmallestJobAdmittedFirst) {
 
 // --- socket daemon ---
 
+/// Opens a raw connection to the daemon socket (send_request always
+/// terminates its line, so unterminated input needs its own client).
+int connect_unix(const std::string& sock) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+              0);
+    return fd;
+}
+
+/// Memory mappings of this process.
+std::size_t mapping_count() {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t n = 0;
+    for (std::string line; std::getline(maps, line);) ++n;
+    return n;
+}
+
+/// Threads currently alive in this process.
+std::size_t thread_count() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& task : fs::directory_iterator("/proc/self/task")) {
+        ++n;
+    }
+    return n;
+}
+
 TEST(ServeDaemon, LineProtocolEndToEnd) {
     const std::string dir = scratch_dir("daemon");
     const std::string gfa = write_mini_gfa(dir);
@@ -575,6 +610,27 @@ TEST(ServeDaemon, LineProtocolEndToEnd) {
     EXPECT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
               R"({"ok":true,"pong":true})");
 
+    // An unterminated 64 MiB line is cut off at the daemon's line cap: it
+    // answers with an error and closes instead of buffering the rest.
+    {
+        const int fd = connect_unix(sock);
+        const std::string block(std::size_t{1} << 16, 'x');
+        for (std::size_t sent = 0; sent < (std::size_t{64} << 20);) {
+            const ssize_t n = ::send(fd, block.data(), block.size(), MSG_NOSIGNAL);
+            if (n <= 0) break;  // the daemon hung up
+            sent += static_cast<std::size_t>(n);
+        }
+        std::string reply;
+        char c;
+        while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply += c;
+        ::close(fd);
+        const serve::JsonValue long_line = serve::json_parse(reply);
+        EXPECT_FALSE(long_line.find("ok")->as_bool());
+        EXPECT_EQ(long_line.find("error")->as_string(), "line too long");
+    }
+    EXPECT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+              R"({"ok":true,"pong":true})");
+
     const serve::JsonValue stats = serve::json_parse(
         serve::send_request(sock, R"({"cmd":"stats"})"));
     EXPECT_EQ(stats.find("completed")->as_uint(), 1u);
@@ -584,6 +640,49 @@ TEST(ServeDaemon, LineProtocolEndToEnd) {
     EXPECT_TRUE(stop.find("ok")->as_bool());
     runner.join();
     EXPECT_FALSE(fs::exists(sock)) << "socket file must be removed on exit";
+}
+
+TEST(ServeDaemon, FinishedConnectionsAreReaped) {
+    const std::string dir = scratch_dir("reap");
+    const std::string sock = dir + "/d.sock";
+    serve::DaemonOptions opt;
+    opt.socket_path = sock;
+    opt.server.cache_dir = dir + "/cache";
+    opt.server.workers = 1;
+    serve::Daemon daemon(opt);
+    std::thread runner([&] { daemon.run(); });
+    while (!fs::exists(sock)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    // One answered ping means the server's workers are up; give its
+    // connection a few accept-loop polls to be joined.
+    ASSERT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+              R"({"ok":true,"pong":true})");
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const std::size_t before = thread_count();
+    const std::size_t maps_before = mapping_count();
+
+    // Every request is its own connection, hence its own handler thread.
+    for (int i = 0; i < 200; ++i) {
+        ASSERT_EQ(serve::send_request(sock, R"({"cmd":"ping"})"),
+                  R"({"ok":true,"pong":true})");
+    }
+    // An exited thread leaves /proc/self/task at once, but until it is
+    // joined its stack stays mapped (two mappings with the guard page), so
+    // 200 unjoined handlers would add ~400 mappings.
+    const auto settled = [&] {
+        return thread_count() <= before && mapping_count() < maps_before + 100;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!settled() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_LE(thread_count(), before);
+    EXPECT_LT(mapping_count(), maps_before + 100);
+
+    serve::send_request(sock, R"({"cmd":"shutdown"})");
+    runner.join();
 }
 
 }  // namespace

@@ -171,8 +171,8 @@ TEST_P(WorkloadSweep, ValidAndLeanConsistent) {
         ASSERT_EQ(n, g.path(p).steps.size());
         std::uint64_t pos = 0;
         for (std::uint32_t i = 0; i < n; ++i) {
-            ASSERT_EQ(lg.step_position(p, i), pos);
-            pos += lg.node_length(lg.step_node(p, i));
+            ASSERT_EQ(lg.step_record(p, i).position, pos);
+            pos += lg.node_length(lg.step_record(p, i).node);
         }
         ASSERT_EQ(lg.path_nuc_length(p), pos);
     }
