@@ -180,15 +180,15 @@ int main(int argc, char** argv) {
                 popt.schedule.config.pin = false;
                 popt.schedule.config.numa = "off";
                 auto part = partition::partition_layout(
-                    partition::decompose(vg), popt);
+                    partition::decompose(flat), popt);
                 t_un.push_back(part.seconds);
                 updates = part.updates;
                 lay_un = std::move(part.stitched.layout);
 
                 popt.schedule.config.pin = true;
                 popt.schedule.config.numa = "auto";
-                part = partition::partition_layout(partition::decompose(vg),
-                                                   popt);
+                part = partition::partition_layout(
+                    partition::decompose(flat), popt);
                 t_pin.push_back(part.seconds);
                 lay_pin = std::move(part.stitched.layout);
             }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "graph/lean_graph.hpp"
 #include "io/pgg_io.hpp"
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
         const auto vg = workloads::generate_whole_genome(specs);
         std::cout << "genome: " << vg.node_count() << " nodes, "
                   << vg.path_count() << " paths\n";
-        d = partition::decompose(vg);
+        d = partition::decompose(graph::LeanGraph::from_graph(vg));
     }
     std::cout << d.count() << " components\n";
 

@@ -63,14 +63,15 @@ int run(int argc, char** argv) {
                   << p.component << "): " << p.nodes << " nodes in " << p.seconds
                   << " s\n";
     };
-    const auto part = partition::partition_layout(vg, popt);
+    const auto lean = graph::LeanGraph::from_graph(vg);
+    const auto part =
+        partition::partition_layout(partition::decompose(lean), popt);
     std::cout << backend << ": " << part.updates << " updates over "
               << part.decomposition.count() << " components in " << part.seconds
               << " s (engine time " << part.engine_seconds << " s)\n";
     std::cout << "canvas: " << part.stitched.width << " x "
               << part.stitched.height << "\n";
 
-    const auto lean = graph::LeanGraph::from_graph(vg);
     const auto sps = metrics::sampled_path_stress(lean, part.stitched.layout, 20);
     std::cout << "sampled path stress: " << sps.value << " [" << sps.ci_low
               << ", " << sps.ci_high << "]\n";

@@ -117,8 +117,8 @@ RunOutcome run_layout(const RunRequest& req) {
             labels.path_component = ingest.path_component;
         }
 
-        out.partition =
-            partition::partition_layout(g, std::move(labels), popt);
+        out.partition = partition::partition_layout(
+            partition::decompose(g, std::move(labels)), popt);
         out.partitioned = true;
         out.engine_name = req.backend;
         out.updates = out.partition.updates;

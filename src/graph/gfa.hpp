@@ -1,13 +1,8 @@
 #pragma once
-// GFA v1 reader/writer for variation graphs — the interchange format of the
-// pangenome toolchain (odgi, vg, pggb). Supports S (segment), L (link),
-// P (path) and GFA 1.1 W (walk) records, which is everything the layout
-// pipeline consumes. Lines may end in CRLF (Windows-edited files) and
-// sequence-free segments ("S name *" with an LN:i: tag) keep their length.
-//
-// This reader materializes the full rich graph; for layout-only ingestion
-// at scale prefer the streaming reader in graph/gfa_stream.hpp, which
-// builds the LeanGraph directly at roughly half the peak memory.
+// GFA v1 writer for variation graphs — the interchange format of the
+// pangenome toolchain (odgi, vg, pggb). Reading goes through the streaming
+// reader in graph/gfa_stream.hpp, which builds the layout-ready LeanGraph
+// directly; this header only serializes generated rich graphs.
 #include <iosfwd>
 #include <string>
 
@@ -15,17 +10,9 @@
 
 namespace pgl::graph {
 
-/// Parses GFA v1/v1.1 from a stream. Throws std::runtime_error on
-/// malformed input. W walks become paths named sample#hap#seqid[:start-end];
-/// other record types (H, C, ...) are skipped.
-VariationGraph read_gfa(std::istream& in);
-
-/// Convenience overload reading from a file path.
-VariationGraph read_gfa_file(const std::string& path);
-
-/// Writes GFA v1 preserving original segment names (nodes created without a
-/// name get their 1-based decimal id, the historical behaviour); links use
-/// overlap 0M, paths use '*' overlaps.
+/// Writes GFA v1. Segments are named by their 1-based decimal id, an empty
+/// sequence is written as "*"; links use overlap 0M, paths use '*'
+/// overlaps.
 void write_gfa(const VariationGraph& g, std::ostream& out);
 
 void write_gfa_file(const VariationGraph& g, const std::string& path);

@@ -1,9 +1,9 @@
 #pragma once
-// Streaming GFA ingestion — the scale path for real-world pangenomes
-// (PGGB, minigraph-cactus whole genomes). Instead of materializing the rich
-// VariationGraph (sequences + edge set + per-path Handle vectors) and then
-// distilling a LeanGraph from it, this reader makes two single-purpose
-// passes over the input and feeds a LeanGraphBuilder directly:
+// Streaming GFA ingestion — the one GFA reader, and the scale path for
+// real-world pangenomes (PGGB, minigraph-cactus whole genomes). It never
+// materializes a rich graph (sequences + edge set + per-path Handle
+// vectors); it makes two single-purpose passes over the input and feeds a
+// LeanGraphBuilder directly:
 //
 //   pass 1 (segments):  S records -> name table + node lengths
 //                       (sequence bytes are measured, never stored);
@@ -12,15 +12,14 @@
 //                       builder (no per-path step vector is ever built).
 //
 // Peak memory is the LeanGraph itself plus the name table and two u32 words
-// per node for the union-find — roughly half the rich-graph route on
-// path-heavy graphs. The union-find doubles as the partition-ready
-// adjacency: LeanIngest carries dense component labels computed exactly
-// like partition::label_components on the rich graph (edges + path steps,
-// numbered by smallest node id), so `--partition` runs byte-identically
-// from either ingestion route.
+// per node for the union-find. The union-find doubles as the
+// partition-ready adjacency: LeanIngest carries dense component labels over
+// edge + path connectivity (L links and path/walk steps), numbered by
+// smallest node id, so `--partition` needs no second labeling pass.
 //
 // Dialect: GFA 1.0 (S/L/P) and GFA 1.1 (W walk) records, CRLF and
-// trailing-whitespace tolerant, "S name *" with LN:i: length tags.
+// trailing-whitespace tolerant, "S name *" with LN:i: length tags; other
+// record types (H, C, ...) and '#' comment lines are skipped.
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -42,9 +41,10 @@ struct LeanIngest {
     std::vector<std::string> path_names;
 
     /// Partition-ready adjacency: dense connected-component labels over
-    /// L-links and path/walk steps, numbered by smallest member node id —
-    /// identical to partition::label_components(VariationGraph) on the
-    /// same file.
+    /// edge + path connectivity (L links and path/walk steps), numbered by
+    /// smallest member node id. partition::label_components(LeanGraph)
+    /// sees only the path steps, so the two differ where an L link joins
+    /// nodes no path walks across.
     std::uint32_t component_count = 0;
     std::vector<std::uint32_t> node_component;  ///< node id -> component
     std::vector<std::uint32_t> path_component;  ///< path index -> component
@@ -55,7 +55,7 @@ struct LeanIngest {
 /// Streams GFA 1.0/1.1 from a seekable stream (two passes; file and string
 /// streams both qualify). Throws std::runtime_error with a line number on
 /// malformed input: duplicate segments, unknown segment references, bad
-/// orientations, empty paths/walks.
+/// orientations, empty paths/walks (named in the message).
 LeanIngest ingest_gfa(std::istream& in);
 
 /// Convenience overload reading from a file path.

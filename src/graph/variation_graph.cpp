@@ -5,28 +5,11 @@
 
 namespace pgl::graph {
 
-NodeId VariationGraph::add_node(std::string sequence, std::string name) {
+NodeId VariationGraph::add_node(std::string sequence) {
     const NodeId id = static_cast<NodeId>(sequences_.size());
     total_seq_len_ += sequence.size();
     sequences_.push_back(std::move(sequence));
-    names_.push_back(std::move(name));
-    star_len_.push_back(0);
     return id;
-}
-
-NodeId VariationGraph::add_node_sequence_free(std::uint32_t length,
-                                              std::string name) {
-    const NodeId id = static_cast<NodeId>(sequences_.size());
-    total_seq_len_ += length;
-    sequences_.emplace_back();
-    names_.push_back(std::move(name));
-    star_len_.push_back(length);
-    return id;
-}
-
-std::string VariationGraph::node_name(NodeId id) const {
-    const std::string& n = names_.at(id);
-    return n.empty() ? std::to_string(id + 1) : n;
 }
 
 bool VariationGraph::add_edge(Handle from, Handle to) {

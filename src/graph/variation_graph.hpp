@@ -35,19 +35,8 @@ public:
     VariationGraph() = default;
 
     /// Adds a node with the given nucleotide sequence; returns its id.
-    /// Ids are dense, starting at 0. An optional `name` preserves the
-    /// segment name of the source GFA; unnamed nodes fall back to the
-    /// 1-based decimal id GFA writers have always used.
-    NodeId add_node(std::string sequence, std::string name = {});
-
-    /// Adds a sequence-free node ("S name * LN:i:length" in real
-    /// sequence-free GFAs): the length is recorded without synthesizing
-    /// sequence bytes, and write_gfa emits "*" plus an LN tag again.
-    NodeId add_node_sequence_free(std::uint32_t length, std::string name = {});
-
-    /// Segment name for GFA round-trips: the stored name, or the decimal
-    /// string of id + 1 when the node was created without one.
-    std::string node_name(NodeId id) const;
+    /// Ids are dense, starting at 0.
+    NodeId add_node(std::string sequence);
 
     /// Adds an edge between two oriented handles. Duplicate edges (in either
     /// canonical orientation) are ignored. Returns true if inserted.
@@ -63,15 +52,7 @@ public:
 
     std::string_view sequence(NodeId id) const { return sequences_.at(id); }
     std::uint32_t node_length(NodeId id) const {
-        const std::uint32_t seq_len =
-            static_cast<std::uint32_t>(sequences_.at(id).size());
-        return seq_len != 0 ? seq_len : star_len_[id];
-    }
-
-    /// True for nodes added via add_node_sequence_free (length known,
-    /// sequence bytes absent).
-    bool is_sequence_free(NodeId id) const {
-        return sequences_.at(id).empty() && star_len_[id] != 0;
+        return static_cast<std::uint32_t>(sequences_.at(id).size());
     }
 
     const std::vector<Edge>& edges() const noexcept { return edges_; }
@@ -96,8 +77,6 @@ public:
 
 private:
     std::vector<std::string> sequences_;
-    std::vector<std::string> names_;  ///< per-node; empty = unnamed (id + 1)
-    std::vector<std::uint32_t> star_len_;  ///< declared length of '*' nodes
     std::vector<Edge> edges_;
     std::unordered_set<Edge> edge_set_;
     std::vector<PathRecord> paths_;

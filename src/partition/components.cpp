@@ -8,57 +8,19 @@
 
 namespace pgl::partition {
 
-namespace {
-
-using core::UnionFind;
-
-/// Compresses union-find roots into dense component ids numbered by the
-/// smallest node id in each component (scan order).
-ComponentLabels finalize_labels(UnionFind& uf, std::uint32_t n_nodes) {
-    (void)n_nodes;
-    assert(uf.element_count() == n_nodes);
-    auto dense = core::dense_labels(uf);
-    ComponentLabels labels;
-    labels.count = dense.count;
-    labels.node_component = std::move(dense.label);
-    return labels;
-}
-
-}  // namespace
-
-ComponentLabels label_components(const graph::VariationGraph& g) {
-    const auto n = static_cast<std::uint32_t>(g.node_count());
-    UnionFind uf(n);
-    for (const graph::Edge& e : g.edges()) {
-        uf.unite(e.from.id(), e.to.id());
-    }
-    // add_path materializes traversed edges, but a single-step path adds
-    // none; step adjacency keeps such paths attached to their node anyway.
-    for (const graph::PathRecord& p : g.paths()) {
-        for (std::size_t i = 1; i < p.steps.size(); ++i) {
-            uf.unite(p.steps[i - 1].id(), p.steps[i].id());
-        }
-    }
-    ComponentLabels labels = finalize_labels(uf, n);
-    labels.path_component.assign(g.path_count(), kNoComponent);
-    for (std::uint64_t p = 0; p < g.path_count(); ++p) {
-        const auto& steps = g.path(p).steps;
-        if (!steps.empty()) {
-            labels.path_component[p] = labels.node_component[steps.front().id()];
-        }
-    }
-    return labels;
-}
-
 ComponentLabels label_components(const graph::LeanGraph& g) {
-    UnionFind uf(g.node_count());
+    core::UnionFind uf(g.node_count());
     for (std::uint32_t p = 0; p < g.path_count(); ++p) {
         const std::uint32_t n_steps = g.path_step_count(p);
         for (std::uint32_t i = 1; i < n_steps; ++i) {
             uf.unite(g.step_record(p, i - 1).node, g.step_record(p, i).node);
         }
     }
-    ComponentLabels labels = finalize_labels(uf, g.node_count());
+    // Dense ids numbered by the smallest node id in each component.
+    auto dense = core::dense_labels(uf);
+    ComponentLabels labels;
+    labels.count = dense.count;
+    labels.node_component = std::move(dense.label);
     labels.path_component.assign(g.path_count(), kNoComponent);
     for (std::uint32_t p = 0; p < g.path_count(); ++p) {
         if (g.path_step_count(p) > 0) {
@@ -75,12 +37,6 @@ ComponentLabels take_labels(graph::LeanIngest& ing) {
     labels.path_component = std::move(ing.path_component);
     ing.component_count = 0;
     return labels;
-}
-
-Decomposition decompose(const graph::VariationGraph& g) {
-    // The lean copy carries the same node lengths and walks; the labels
-    // come from the rich graph's edge + path connectivity.
-    return decompose(graph::LeanGraph::from_graph(g), label_components(g));
 }
 
 Decomposition decompose(const graph::LeanGraph& g) {

@@ -5,10 +5,12 @@
 // chromosome plus unplaced contigs), yet PG-SGD lays out one connected
 // graph at a time: a stress term never crosses a path, and a path never
 // crosses a component, so disconnected components are independent layout
-// problems. This module labels components with a union-find over the node
-// set and slices the graph into per-component LeanGraph subgraphs with
-// stable remap tables, so every downstream consumer (engines, metrics,
-// IO, rendering) sees an ordinary single-component graph.
+// problems. This module slices a LeanGraph into per-component subgraphs
+// with stable remap tables, so every downstream consumer (engines, metrics,
+// IO, rendering) sees an ordinary single-component graph. The labels come
+// from the GFA reader (graph::LeanIngest: edge + path connectivity,
+// computed while parsing) or, for a graph with no ingest behind it, from a
+// union-find over its path steps.
 //
 // Component numbering is deterministic: components are numbered by their
 // smallest global node id, and inside a component local node ids ascend
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "graph/lean_graph.hpp"
-#include "graph/variation_graph.hpp"
 
 namespace pgl::graph {
 struct LeanIngest;  // graph/gfa_stream.hpp
@@ -38,18 +39,15 @@ struct ComponentLabels {
                                                 ///< (kNoComponent for an empty path)
 };
 
-/// Labels components using both edge and path-step adjacency (the full
-/// connectivity of the rich graph).
-ComponentLabels label_components(const graph::VariationGraph& g);
-
 /// Labels components using path-step adjacency only — all the connectivity
 /// a LeanGraph retains. Nodes touched by no path become singleton
 /// components.
 ComponentLabels label_components(const graph::LeanGraph& g);
 
 /// Adopts the labels a streaming ingest computed while parsing (edge +
-/// path connectivity, same numbering as the rich-graph labeler). Moves the
-/// label vectors out of `ing`; its graph and name tables are untouched.
+/// path connectivity, numbered by smallest node id like label_components).
+/// Moves the label vectors out of `ing`; its graph and name tables are
+/// untouched.
 ComponentLabels take_labels(graph::LeanIngest& ing);
 
 /// One connected component, sliced out as a standalone lean graph.
@@ -72,20 +70,15 @@ struct Decomposition {
     std::uint64_t global_node_count() const noexcept { return local_node.size(); }
 };
 
-/// Decomposes the rich graph (edge + path connectivity); node lengths come
-/// from the sequences, as LeanGraph::from_graph would take them.
-Decomposition decompose(const graph::VariationGraph& g);
-
 /// Decomposes a lean graph (path connectivity only).
 Decomposition decompose(const graph::LeanGraph& g);
 
 /// Decomposes a lean graph using precomputed labels — the entry point for
-/// the streaming ingestion path, whose reader builds edge + path
-/// connectivity with a union-find while parsing (graph::LeanIngest), so the
-/// decomposition matches the rich-graph overload without a VariationGraph
-/// ever existing. `labels` must cover exactly the graph's nodes and paths,
-/// and every path's steps must lie in that path's component (io::read_pgg
-/// rejects cached labels that break this).
+/// ingested graphs, whose reader builds edge + path connectivity with a
+/// union-find while parsing (graph::LeanIngest). `labels` must cover
+/// exactly the graph's nodes and paths, and every path's steps must lie in
+/// that path's component (io::read_pgg rejects cached labels that break
+/// this).
 Decomposition decompose(const graph::LeanGraph& g, ComponentLabels labels);
 
 }  // namespace pgl::partition

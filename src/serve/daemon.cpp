@@ -182,6 +182,11 @@ void Daemon::run() {
         const int fd = ::accept(impl.listen_fd, nullptr, nullptr);
         if (fd < 0) continue;
         std::lock_guard<std::mutex> lock(impl.mutex);
+        if (impl.conns.size() >= kMaxConnections) {
+            send_all(fd, error_line("too many connections"));
+            ::close(fd);
+            continue;
+        }
         impl.conns.emplace(fd, std::thread([this, fd] { handle_connection(fd); }));
     }
 

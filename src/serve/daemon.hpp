@@ -19,15 +19,21 @@
 //
 // Connections are handled one thread each (a blocking "result wait" must
 // not stall other clients); the accept loop polls so shutdown is prompt,
-// and joins the thread of every connection that has closed. A request line
-// is capped at 1 MiB: a longer one is answered with
-// {"ok":false,"error":"line too long"} and the connection is closed.
+// and joins the thread of every connection that has closed. At most
+// kMaxConnections are open at once: one more is answered with
+// {"ok":false,"error":"too many connections"} and closed, with no thread
+// started. A request line is capped at 1 MiB: a longer one is answered
+// with {"ok":false,"error":"line too long"} and the connection is closed.
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "serve/server.hpp"
 
 namespace pgl::serve {
+
+/// Open connections a daemon serves at once (one handler thread each).
+inline constexpr std::size_t kMaxConnections = 64;
 
 struct DaemonOptions {
     std::string socket_path = "pgl-serve.sock";

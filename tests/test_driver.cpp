@@ -178,8 +178,8 @@ TEST_F(DriverTest, PartitionRunMatchesDirectPartitionLayout) {
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
     popt.schedule.workers = 2;
-    const auto direct =
-        partition::partition_layout(ing.graph, std::move(labels), popt);
+    const auto direct = partition::partition_layout(
+        partition::decompose(ing.graph, std::move(labels)), popt);
 
     ASSERT_TRUE(out.partitioned);
     EXPECT_EQ(out.updates, direct.updates);

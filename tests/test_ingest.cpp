@@ -1,13 +1,18 @@
 // Tests for the streaming ingestion subsystem: the gfa_stream reader
 // (GFA 1.0 P records, GFA 1.1 W walks, CRLF tolerance, malformed-input
-// rejection), equivalence with the legacy VariationGraph route, and the
-// .pgg binary graph cache (round trip, truncation, corruption, checksum).
+// rejection, a deterministic mutation fuzz), the write_gfa -> ingest_gfa
+// round trip against LeanGraph::from_graph, and the .pgg binary graph
+// cache (round trip, truncation, corruption, checksum).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
@@ -169,15 +174,26 @@ TEST(GfaStream, RejectsUnknownSegmentInPathAndWalk) {
     }
 }
 
+/// The message of the std::runtime_error ingesting `gfa` throws, or ""
+/// when it ingests cleanly.
+std::string ingest_error(const std::string& gfa) {
+    std::stringstream ss(gfa);
+    try {
+        graph::ingest_gfa(ss);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return {};
+}
+
 TEST(GfaStream, RejectsEmptyPathAndWalk) {
-    {
-        std::stringstream ss("S\tx\tA\nP\tp\t\t*\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
-    }
-    {
-        std::stringstream ss("S\tx\tA\nW\ts\t1\tc\t0\t0\t*\n");
-        EXPECT_THROW(graph::ingest_gfa(ss), std::runtime_error);
-    }
+    const std::string path_err = ingest_error("S\tx\tA\nP\tpath_a\t\t*\n");
+    EXPECT_NE(path_err.find("empty path path_a"), std::string::npos) << path_err;
+    // A walk is named by its synthesized sample#hap#seqid[:start-end].
+    const std::string walk_err =
+        ingest_error("S\tx\tA\nW\tHG9\t1\tchr2\t0\t0\t*\n");
+    EXPECT_NE(walk_err.find("empty walk HG9#1#chr2:0-0"), std::string::npos)
+        << walk_err;
 }
 
 TEST(GfaStream, RejectsBadOrientationAndMalformedWalk) {
@@ -195,27 +211,133 @@ TEST(GfaStream, RejectsBadOrientationAndMalformedWalk) {
     }
 }
 
-// --- equivalence with the legacy VariationGraph route ---
+// --- mutation fuzz ---
 
-TEST(GfaStream, MatchesVariationGraphRouteOnWholeGenome) {
+/// Reads a file from the test data directory into a string.
+std::string read_test_data(const std::string& name) {
+    std::ifstream in(std::string(PGL_TEST_DATA_DIR) + "/" + name,
+                     std::ios::binary);
+    EXPECT_TRUE(in) << "missing test data " << name;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/// One random edit of `s`: a byte flip, an insert, a deleted run, or a
+/// duplicated line. Inserted and flipped bytes favour the characters GFA
+/// tokenizing turns on, so most mutants reach deep into the parser.
+void mutate(std::string& s, std::mt19937_64& rng) {
+    static const std::string kAlphabet = "\t\n\r+-<>*,#:0123456789SLPWHsLN ";
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const auto random_byte = [&] {
+        return pick(4) == 0 ? static_cast<char>(rng() & 0xFF)
+                            : kAlphabet[pick(kAlphabet.size())];
+    };
+    switch (pick(4)) {
+        case 0:  // flip
+            if (!s.empty()) s[pick(s.size())] = random_byte();
+            break;
+        case 1:  // insert
+            s.insert(s.begin() + static_cast<std::ptrdiff_t>(pick(s.size() + 1)),
+                     random_byte());
+            break;
+        case 2:  // delete a run of up to 8 bytes
+            if (!s.empty()) {
+                const std::size_t at = pick(s.size());
+                s.erase(at, 1 + pick(8));
+            }
+            break;
+        default: {  // duplicate a line at another line start
+            std::vector<std::size_t> starts{0};
+            for (std::size_t i = 0; i < s.size(); ++i) {
+                if (s[i] == '\n' && i + 1 < s.size()) starts.push_back(i + 1);
+            }
+            const std::size_t from = starts[pick(starts.size())];
+            const std::size_t nl = s.find('\n', from);
+            const std::string line = nl == std::string::npos
+                                         ? s.substr(from) + "\n"
+                                         : s.substr(from, nl - from + 1);
+            s.insert(starts[pick(starts.size())], line);
+            break;
+        }
+    }
+}
+
+/// The invariants every accepted ingest must hold: names and labels cover
+/// exactly the nodes and paths, labels are in range, and every step of a
+/// path lies in that path's component (its first node's label).
+void expect_consistent(const LeanIngest& ing, const std::string& input) {
+    const LeanGraph& g = ing.graph;
+    ASSERT_EQ(ing.segment_names.size(), g.node_count()) << input;
+    ASSERT_EQ(ing.node_component.size(), g.node_count()) << input;
+    ASSERT_EQ(ing.path_names.size(), g.path_count()) << input;
+    ASSERT_EQ(ing.path_component.size(), g.path_count()) << input;
+    for (const std::uint32_t c : ing.node_component) {
+        ASSERT_LT(c, ing.component_count) << input;
+    }
+    for (std::uint32_t p = 0; p < g.path_count(); ++p) {
+        ASSERT_GT(g.path_step_count(p), 0u) << input;
+        const std::uint32_t c = ing.path_component[p];
+        ASSERT_EQ(c, ing.node_component[g.step_record(p, 0).node]) << input;
+        for (std::uint32_t i = 0; i < g.path_step_count(p); ++i) {
+            const auto node = g.step_record(p, i).node;
+            ASSERT_LT(node, g.node_count()) << input;
+            ASSERT_EQ(ing.node_component[node], c) << input;
+        }
+    }
+}
+
+TEST(GfaStream, MutationFuzzEitherThrowsOrStaysConsistent) {
+    const std::vector<std::string> seeds{
+        kMiniGfa,
+        "H\tVN:Z:1.1\n"
+        "S\ts1\t*\tLN:i:12\n"
+        "S\ts2\tACG\n"
+        "S\ts3\t*\tLN:i:5\n"
+        "L\ts1\t+\ts2\t-\t0M\n"
+        "W\tHG1\t0\tchr1\t0\t20\t>s1<s2>s3\n"
+        "W\tHG1\t1\tchr1\t*\t*\t>s3\n",
+        read_test_data("walks_crlf.gfa"),
+    };
+    std::mt19937_64 rng(0x5EEDF022u);
+    std::uint32_t accepted = 0, rejected = 0;
+    for (int m = 0; m < 20000; ++m) {
+        std::string input = seeds[static_cast<std::size_t>(m) % seeds.size()];
+        for (std::uint64_t e = 1 + rng() % 4; e > 0; --e) mutate(input, rng);
+        std::stringstream ss(input);
+        LeanIngest ing;
+        try {
+            ing = graph::ingest_gfa(ss);
+        } catch (const std::runtime_error&) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        expect_consistent(ing, input);
+        if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Both outcomes must be reached, or the mutants test nothing.
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 1000u);
+}
+
+// --- writer round trip ---
+
+TEST(GfaStream, WriterRoundTripMatchesFromGraph) {
     const auto vg = workloads::generate_whole_genome(
         workloads::whole_genome_spec(3, 0.0003, 77));
     std::stringstream gfa;
     graph::write_gfa(vg, gfa);
-
-    // Legacy: GFA -> VariationGraph -> LeanGraph.
-    const auto vg2 = graph::read_gfa(gfa);
-    const auto lean_legacy = graph::LeanGraph::from_graph(vg2);
-
-    // Streaming: GFA -> LeanGraph, no intermediate.
-    gfa.clear();
-    gfa.seekg(0);
     const auto ing = graph::ingest_gfa(gfa);
-    expect_same_lean(ing.graph, lean_legacy);
+    const auto lean = graph::LeanGraph::from_graph(vg);
+    expect_same_lean(ing.graph, lean);
 
-    // The ingest-time component labels must match the rich-graph labeler
-    // (edge + path connectivity) so partitioned runs are byte-identical.
-    const auto labels = partition::label_components(vg2);
+    // Generators add edges only along paths, so the ingest's edge + path
+    // labels equal the lean labeler's path-only labels on this graph.
+    const auto labels = partition::label_components(lean);
+    ASSERT_EQ(labels.count, 3u);
     EXPECT_EQ(ing.component_count, labels.count);
     EXPECT_EQ(ing.node_component, labels.node_component);
     EXPECT_EQ(ing.path_component, labels.path_component);
@@ -390,51 +512,6 @@ TEST(PggIo, FileRejectsTrailingBytesAfterChecksum) {
 TEST(PggIo, MissingFileThrows) {
     EXPECT_THROW(io::read_pgg_file("/nonexistent/nowhere.pgg"),
                  std::runtime_error);
-}
-
-// --- legacy reader keeps up: W walks, CRLF, LN tags ---
-
-TEST(Gfa, LegacyReaderParsesWalkRecords) {
-    const std::string gfa =
-        "S\ts1\tACGT\n"
-        "S\ts2\tTT\n"
-        "W\tHG002\t1\tchr1\t0\t6\t>s1<s2\n";
-    std::stringstream ss(gfa);
-    const auto g = graph::read_gfa(ss);
-    ASSERT_EQ(g.path_count(), 1u);
-    EXPECT_EQ(g.path(0).name, "HG002#1#chr1:0-6");
-    ASSERT_EQ(g.path(0).steps.size(), 2u);
-    EXPECT_TRUE(g.path(0).steps[1].is_reverse());
-    // add_path materializes the traversed edge, as for P records.
-    EXPECT_EQ(g.edge_count(), 1u);
-}
-
-TEST(Gfa, SequenceFreeSegmentsRoundTripWithoutFabricatedBases) {
-    // "S name * LN:i:N" must keep its declared length without synthesizing
-    // N placeholder bases — and write back as "* LN:i:N", not as sequence.
-    std::stringstream in("S\tbig\t*\tLN:i:8\nS\ttiny\t*\nP\tp\tbig+,tiny+\t*\n");
-    const auto g = graph::read_gfa(in);
-    EXPECT_EQ(g.node_length(0), 8u);
-    EXPECT_EQ(g.sequence(0), "");  // no fabricated bytes
-    EXPECT_EQ(g.node_length(1), 0u);
-    std::stringstream out;
-    graph::write_gfa(g, out);
-    EXPECT_NE(out.str().find("S\tbig\t*\tLN:i:8"), std::string::npos);
-    EXPECT_NE(out.str().find("S\ttiny\t*\n"), std::string::npos);
-}
-
-TEST(Gfa, LegacyReaderToleratesCrlf) {
-    std::string crlf;
-    for (const char c : kMiniGfa) {
-        if (c == '\n') crlf += "\r\n";
-        else crlf += c;
-    }
-    std::stringstream ss(crlf);
-    const auto g = graph::read_gfa(ss);
-    EXPECT_EQ(g.node_count(), 3u);
-    EXPECT_EQ(g.path_count(), 2u);
-    EXPECT_EQ(g.node_name(0), "s1");  // no trailing '\r' registered
-    EXPECT_EQ(g.validate(), "");
 }
 
 }  // namespace

@@ -111,7 +111,8 @@ TEST(LayIo, PartitionStitchedRoundTripIsBitwise) {
     partition::PartitionOptions popt;
     popt.schedule.config.iter_max = 2;
     popt.schedule.config.steps_per_iter_factor = 0.2;
-    const auto part = partition::partition_layout(vg, popt);
+    const auto part = partition::partition_layout(
+        partition::decompose(graph::LeanGraph::from_graph(vg)), popt);
     const std::string path = ::testing::TempDir() + "/pgl_partition.lay";
     io::write_layout_file(part.stitched.layout, path);
     const auto back = io::read_layout_file(path);

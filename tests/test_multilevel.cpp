@@ -411,7 +411,8 @@ TEST(MultilevelPartition, MatchesStandalonePerComponentPlans) {
     popt.schedule.config = quick_config();
     popt.schedule.workers = 2;
     popt.schedule.multilevel = true;
-    const auto part = partition::partition_layout(vg, popt);
+    const auto part = partition::partition_layout(
+        partition::decompose(graph::LeanGraph::from_graph(vg)), popt);
     ASSERT_EQ(part.decomposition.count(), 3u);
 
     std::vector<core::Layout> standalone;

@@ -8,11 +8,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "graph/gfa.hpp"
+#include "graph/gfa_stream.hpp"
 #include "partition/executor.hpp"
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
@@ -20,19 +23,23 @@
 namespace {
 
 using namespace pgl;
-using graph::Handle;
 
-graph::VariationGraph tiny_multi_component() {
-    // Component A: nodes 0-1-2 chained by edges (and a path over them).
-    // Component B: nodes 3-4 connected only by a path (add_path adds the
-    // edge). Component C: node 5, isolated.
-    graph::VariationGraph vg;
-    for (int i = 0; i < 6; ++i) vg.add_node("ACGT");
-    vg.add_edge(Handle::forward(0), Handle::forward(1));
-    vg.add_edge(Handle::forward(1), Handle::forward(2));
-    vg.add_path("A#0", {Handle::forward(0), Handle::forward(1), Handle::forward(2)});
-    vg.add_path("B#0", {Handle::forward(3), Handle::forward(4)});
-    return vg;
+/// Ingests a GFA string through the one GFA reader.
+graph::LeanIngest ingest(const std::string& gfa) {
+    std::stringstream ss(gfa);
+    return graph::ingest_gfa(ss);
+}
+
+/// Decomposes a GFA string with the reader's edge + path labels.
+partition::Decomposition decompose_gfa(const std::string& gfa) {
+    auto ing = ingest(gfa);
+    return partition::decompose(ing.graph, partition::take_labels(ing));
+}
+
+/// Decomposes a generator graph through its lean form (path connectivity;
+/// generators add edges only along paths, so nothing is lost).
+partition::Decomposition decompose_vg(const graph::VariationGraph& vg) {
+    return partition::decompose(graph::LeanGraph::from_graph(vg));
 }
 
 graph::VariationGraph small_genome(std::uint32_t n_components,
@@ -62,32 +69,33 @@ void expect_layout_bitwise_equal(const core::Layout& a, const core::Layout& b) {
 }
 
 TEST(Components, LabelsEdgeAndPathConnectivity) {
-    const auto vg = tiny_multi_component();
-    const auto labels = partition::label_components(vg);
-    EXPECT_EQ(labels.count, 3u);
+    // Component A: segments 1-2-3; the path walks 1-2 and an L link alone
+    // attaches 3. Component B: 4-5, joined only by a path. Component C:
+    // segment 6, isolated.
+    const auto ing = ingest(
+        "S\t1\tACGT\nS\t2\tACGT\nS\t3\tACGT\n"
+        "S\t4\tACGT\nS\t5\tACGT\nS\t6\tACGT\n"
+        "L\t1\t+\t2\t+\t0M\nL\t2\t+\t3\t+\t0M\n"
+        "P\tA#0\t1+,2+\t*\nP\tB#0\t4+,5+\t*\n");
+    EXPECT_EQ(ing.component_count, 3u);
     // Components are numbered by their smallest node id.
     const std::vector<std::uint32_t> expected{0, 0, 0, 1, 1, 2};
-    EXPECT_EQ(labels.node_component, expected);
-    ASSERT_EQ(labels.path_component.size(), 2u);
-    EXPECT_EQ(labels.path_component[0], 0u);
-    EXPECT_EQ(labels.path_component[1], 1u);
+    EXPECT_EQ(ing.node_component, expected);
+    EXPECT_EQ(ing.path_component, (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(Components, LeanLabelingUsesPathAdjacencyOnly) {
-    // Nodes joined only by an edge (never walked) are one component in the
-    // rich graph but separate singletons in the lean graph.
-    graph::VariationGraph vg;
-    vg.add_node("A");
-    vg.add_node("C");
-    vg.add_edge(Handle::forward(0), Handle::forward(1));
-    EXPECT_EQ(partition::label_components(vg).count, 1u);
-    const auto lean = graph::LeanGraph::from_graph(vg);
-    EXPECT_EQ(partition::label_components(lean).count, 2u);
+    // Segments joined only by an L link that no path crosses are one
+    // component to the reader (edge + path connectivity) but two
+    // singletons to the lean labeler, which sees path steps only.
+    const auto ing = ingest("S\ta\tA\nS\tb\tC\nL\ta\t+\tb\t+\t0M\n");
+    EXPECT_EQ(ing.component_count, 1u);
+    EXPECT_EQ(partition::label_components(ing.graph).count, 2u);
 }
 
 TEST(Components, DecompositionRemapTablesAreConsistent) {
     const auto vg = small_genome(3);
-    const auto d = partition::decompose(vg);
+    const auto d = decompose_vg(vg);
     ASSERT_EQ(d.count(), 3u);
     EXPECT_EQ(d.global_node_count(), vg.node_count());
 
@@ -114,10 +122,12 @@ TEST(Components, DecompositionRemapTablesAreConsistent) {
 TEST(Components, PathSlicingIsExact) {
     const auto vg = small_genome(2);
     const auto lean = graph::LeanGraph::from_graph(vg);
-    // Both sources: the rich graph's Handle walks and the lean graph's
-    // step records must slice into identical component step records.
-    const partition::Decomposition decomps[] = {partition::decompose(vg),
-                                                partition::decompose(lean)};
+    // Both label sources — the lean labeler and the GFA reader's labels on
+    // the written graph — must slice into identical component step records.
+    std::stringstream gfa;
+    graph::write_gfa(vg, gfa);
+    const partition::Decomposition decomps[] = {partition::decompose(lean),
+                                                decompose_gfa(gfa.str())};
     for (const auto& d : decomps) {
         ASSERT_GT(d.count(), 1u);
         for (std::uint32_t c = 0; c < d.count(); ++c) {
@@ -145,14 +155,14 @@ TEST(Workloads, WholeGenomeIsDeterministicMultiComponent) {
     EXPECT_EQ(a.edge_count(), b.edge_count());
     EXPECT_EQ(a.total_path_steps(), b.total_path_steps());
     EXPECT_EQ(a.validate(), "");
-    EXPECT_EQ(partition::decompose(a).count(), 4u);
+    EXPECT_EQ(decompose_vg(a).count(), 4u);
     // A different seed produces a different genome.
     const auto c = small_genome(4, 999);
     EXPECT_NE(a.edge_count(), c.edge_count());
 }
 
 TEST(Stitch, TranslationIsASingleFloatAdd) {
-    const auto d = partition::decompose(small_genome(3));
+    const auto d = decompose_vg(small_genome(3));
     partition::SchedulerOptions sopt;
     sopt.config = quick_config();
     std::vector<core::Layout> layouts;
@@ -175,7 +185,7 @@ TEST(Stitch, TranslationIsASingleFloatAdd) {
 }
 
 TEST(Stitch, PlacedBoundingBoxesDoNotOverlap) {
-    const auto d = partition::decompose(small_genome(4));
+    const auto d = decompose_vg(small_genome(4));
     partition::SchedulerOptions sopt;
     sopt.config = quick_config();
     std::vector<core::Layout> layouts;
@@ -238,12 +248,14 @@ TEST(ProcessExecutor, MatchesThreadExecutorByteForByte) {
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
     popt.schedule.workers = 2;
-    const auto in_process = partition::partition_layout(vg, popt);
+    const auto in_process =
+        partition::partition_layout(decompose_vg(vg), popt);
 
     popt.schedule.executor = "process";
     popt.schedule.processes = 2;
     popt.schedule.worker_binary = worker;
-    const auto multi_process = partition::partition_layout(vg, popt);
+    const auto multi_process =
+        partition::partition_layout(decompose_vg(vg), popt);
 
     expect_layout_bitwise_equal(in_process.stitched.layout,
                                 multi_process.stitched.layout);
@@ -260,7 +272,7 @@ TEST(ProcessExecutor, UnrunnableWorkerBinaryFailsEveryComponentLoudly) {
     popt.schedule.executor = "process";
     popt.schedule.worker_binary = "/nonexistent/pgl_layout";
     try {
-        partition::partition_layout(vg, popt);
+        partition::partition_layout(decompose_vg(vg), popt);
         FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& e) {
         const std::string what = e.what();
@@ -274,7 +286,8 @@ TEST(Scheduler, UnknownExecutorIsRejected) {
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
     popt.schedule.executor = "quantum";
-    EXPECT_THROW(partition::partition_layout(vg, popt), std::invalid_argument);
+    EXPECT_THROW(partition::partition_layout(decompose_vg(vg), popt),
+                 std::invalid_argument);
 }
 
 TEST(Scheduler, ResultsIndependentOfWorkerCount) {
@@ -282,9 +295,9 @@ TEST(Scheduler, ResultsIndependentOfWorkerCount) {
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
     popt.schedule.workers = 1;
-    const auto serial = partition::partition_layout(vg, popt);
+    const auto serial = partition::partition_layout(decompose_vg(vg), popt);
     popt.schedule.workers = 4;
-    const auto parallel = partition::partition_layout(vg, popt);
+    const auto parallel = partition::partition_layout(decompose_vg(vg), popt);
     expect_layout_bitwise_equal(serial.stitched.layout, parallel.stitched.layout);
     EXPECT_EQ(serial.updates, parallel.updates);
 }
@@ -301,20 +314,21 @@ TEST(Scheduler, ProgressHookSeesEveryComponent) {
         max_completed = std::max(max_completed, p.completed);
         EXPECT_EQ(p.total, 3u);
     };
-    partition::partition_layout(vg, popt);
+    partition::partition_layout(decompose_vg(vg), popt);
     EXPECT_EQ(seen.size(), 3u);
     EXPECT_EQ(max_completed, 3u);
 }
 
 TEST(Scheduler, PathlessComponentGetsDeterministicFallback) {
-    graph::VariationGraph vg;
-    for (int i = 0; i < 4; ++i) vg.add_node("ACGTACGT");
-    vg.add_path("p", {Handle::forward(0), Handle::forward(1)});
-    vg.add_edge(Handle::forward(2), Handle::forward(3));  // edge-only, no path
+    // Segments 3 and 4 are joined by an L link only: a component no path
+    // walks.
+    const auto d = decompose_gfa(
+        "S\t1\tACGTACGT\nS\t2\tACGTACGT\nS\t3\tACGTACGT\nS\t4\tACGTACGT\n"
+        "P\tp\t1+,2+\t*\nL\t3\t+\t4\t+\t0M\n");
     partition::PartitionOptions popt;
     popt.schedule.config = quick_config();
-    const auto a = partition::partition_layout(vg, popt);
-    const auto b = partition::partition_layout(vg, popt);
+    const auto a = partition::partition_layout(d, popt);
+    const auto b = partition::partition_layout(d, popt);
     ASSERT_EQ(a.decomposition.count(), 2u);
     ASSERT_EQ(a.stitched.layout.size(), 4u);
     expect_layout_bitwise_equal(a.stitched.layout, b.stitched.layout);
@@ -333,7 +347,7 @@ TEST(PartitionEquivalence, MatchesStandalonePerComponentRuns) {
         popt.schedule.backend = backend;
         popt.schedule.config = quick_config(threads);
         popt.schedule.workers = 2;
-        const auto part = partition::partition_layout(vg, popt);
+        const auto part = partition::partition_layout(decompose_vg(vg), popt);
         ASSERT_EQ(part.decomposition.count(), 4u);
 
         // Standalone runs: a fresh engine per component, straight off

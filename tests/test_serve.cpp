@@ -8,6 +8,7 @@
 // socket daemon end to end.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -15,8 +16,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/config_canon.hpp"
 #include "core/engine.hpp"
@@ -683,6 +686,74 @@ TEST(ServeDaemon, FinishedConnectionsAreReaped) {
 
     serve::send_request(sock, R"({"cmd":"shutdown"})");
     runner.join();
+}
+
+TEST(ServeDaemon, RefusesConnectionsBeyondCap) {
+    const std::string dir = scratch_dir("cap");
+    const std::string sock = dir + "/d.sock";
+    serve::DaemonOptions opt;
+    opt.socket_path = sock;
+    opt.server.cache_dir = dir + "/cache";
+    opt.server.workers = 1;
+    serve::Daemon daemon(opt);
+    std::thread runner([&] { daemon.run(); });
+    while (!fs::exists(sock)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    const std::string ping = "{\"cmd\":\"ping\"}\n";
+    const std::string pong = R"({"ok":true,"pong":true})";
+    const auto read_line = [](int fd) {
+        std::string reply;
+        char c;
+        while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply += c;
+        return reply;
+    };
+
+    // A pong proves the daemon accepted the connection and gave it a
+    // handler, so these hold every slot.
+    std::vector<int> held;
+    for (std::size_t i = 0; i < serve::kMaxConnections; ++i) {
+        const int fd = connect_unix(sock);
+        ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(ping.size()));
+        ASSERT_EQ(read_line(fd), pong) << "connection " << i;
+        held.push_back(fd);
+    }
+
+    // One more is refused without a handler: the error arrives unasked.
+    {
+        const int fd = connect_unix(sock);
+        const timeval timeout{5, 0};  // a missing refusal fails, not hangs
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+        const std::string refused = read_line(fd);
+        ::close(fd);
+        EXPECT_EQ(refused, R"({"error":"too many connections","ok":false})");
+    }
+
+    // Closing one frees its slot once its handler sees the hang-up.
+    ::close(held.back());
+    held.pop_back();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    std::string reply;
+    while (std::chrono::steady_clock::now() < deadline) {
+        try {
+            reply = serve::send_request(sock, R"({"cmd":"ping"})");
+        } catch (const std::runtime_error&) {
+            reply.clear();  // refused and closed before the reply was read
+        }
+        if (reply == pong) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_EQ(reply, pong);
+
+    // Shut down over a held connection: a fresh one could find no slot.
+    const std::string shutdown = "{\"cmd\":\"shutdown\"}\n";
+    ASSERT_EQ(::send(held.front(), shutdown.data(), shutdown.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(shutdown.size()));
+    EXPECT_NE(read_line(held.front()).find("\"ok\":true"), std::string::npos);
+    runner.join();
+    for (const int fd : held) ::close(fd);
 }
 
 }  // namespace

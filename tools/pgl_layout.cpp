@@ -18,12 +18,13 @@
 //              [--progress] [--timing] [--trace out.json]
 //              [--list-backends] [--list-kernels]
 //
-// Ingestion streams GFA 1.0/1.1 (S/L/P/W records, CRLF tolerant) directly
-// into the engine-ready LeanGraph — the rich VariationGraph is never
-// materialized — or loads a binary .pgg graph cache (auto-detected by
-// extension, or forced with --load-graph). --save-graph writes the cache
-// after ingestion so repeated runs of the same pangenome skip GFA parsing;
-// with --save-graph and no -o the tool converts and exits. With
+// Ingestion streams GFA 1.0/1.1 (S/L/P/W records, CRLF tolerant) through
+// the one GFA reader straight into the engine-ready LeanGraph, with
+// component labels over edge + path connectivity — or loads a binary .pgg
+// graph cache (auto-detected by extension, or forced with --load-graph).
+// --save-graph writes the cache after ingestion so repeated runs of the
+// same pangenome skip GFA parsing; with --save-graph and no -o the tool
+// converts and exits. With
 // --partition the graph is decomposed into connected components, each
 // component is laid out by its own engine instance — spread across
 // --component-workers threads, or farmed to --processes child worker
