@@ -57,63 +57,41 @@ int main(int argc, char** argv) {
     popt.schedule.config.threads = 1;  // sweep component-level parallelism only
 
     bench::TablePrinter table(
-        {"Executor", "Workers", "Components", "Updates", "EngineSec", "WallSec",
-         "Upd/s"},
-        {10, 9, 12, 12, 11, 9, 12});
+        {"Workers", "Components", "Updates", "EngineSec", "WallSec", "Upd/s"},
+        {9, 12, 12, 11, 9, 12});
     table.print_header(std::cout);
 
     bench::JsonReporter json(opt.json_path);
     std::vector<std::uint32_t> worker_sweep{1};
     if (opt.threads > 1) worker_sweep.push_back(opt.threads);
 
-    // In-process sweep, then the same points through the multi-process
-    // executor: fork/exec + .pgg/.lay shuttling per component, so the
-    // WallSec gap between the two "Executor" blocks is the process
-    // protocol's overhead (the stitched canvas is byte-identical). JSON
-    // records are keyed "<backend>" and "<backend>-mp" so the regression
-    // gate tracks both series.
-    for (const std::string executor : {"thread", "process"}) {
-        popt.schedule.executor = executor;
-        for (const std::uint32_t workers : worker_sweep) {
-            popt.schedule.workers = workers;
-            popt.schedule.processes = workers;
-            partition::PartitionResult part;
-            try {
-                part = partition::partition_layout(std::move(d), popt);
-            } catch (const std::runtime_error& e) {
-                // No pgl_layout next to this bench (e.g. a benches-only
-                // build): report and skip the series, don't fail the bench.
-                std::cout << executor << " executor unavailable: " << e.what()
-                          << "\n";
-                break;
-            }
-            const double ups = part.seconds > 0.0
-                                   ? static_cast<double>(part.updates) /
-                                         part.seconds
-                                   : 0.0;
-            table.print_row(
-                std::cout,
-                {executor, std::to_string(workers),
-                 std::to_string(part.decomposition.count()),
-                 bench::fmt_sci(static_cast<double>(part.updates), 2),
-                 bench::fmt(part.engine_seconds, 4), bench::fmt(part.seconds, 4),
-                 bench::fmt_sci(ups, 2)});
-            if (workers == opt.threads || (opt.threads <= 1 && workers == 1)) {
-                core::LayoutResult summary;
-                summary.updates = part.updates;
-                summary.skipped = part.skipped;
-                summary.seconds = part.seconds;
-                const std::string label =
-                    executor == "process" ? opt.backend + "-mp" : opt.backend;
-                json.add(
-                    bench::make_record(opt, "bench_partition", label, summary));
-            }
-            d = std::move(part.decomposition);  // reuse for the next point
+    for (const std::uint32_t workers : worker_sweep) {
+        popt.schedule.workers = workers;
+        partition::PartitionResult part =
+            partition::partition_layout(std::move(d), popt);
+        const double ups = part.seconds > 0.0
+                               ? static_cast<double>(part.updates) / part.seconds
+                               : 0.0;
+        table.print_row(
+            std::cout,
+            {std::to_string(workers),
+             std::to_string(part.decomposition.count()),
+             bench::fmt_sci(static_cast<double>(part.updates), 2),
+             bench::fmt(part.engine_seconds, 4), bench::fmt(part.seconds, 4),
+             bench::fmt_sci(ups, 2)});
+        if (workers == opt.threads || (opt.threads <= 1 && workers == 1)) {
+            core::LayoutResult summary;
+            summary.updates = part.updates;
+            summary.skipped = part.skipped;
+            summary.seconds = part.seconds;
+            json.add(bench::make_record(opt, "bench_partition", opt.backend,
+                                        summary));
         }
+        d = std::move(part.decomposition);  // reuse for the next point
     }
 
     std::cout << "\nnote: per-component engines are seeded with "
                  "component_seed(seed, id); the stitched canvas is identical "
-                 "for every executor and worker count\n";
+                 "for every worker count\n";
     return 0;
 }

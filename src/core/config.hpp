@@ -4,8 +4,12 @@
 // in the second half, N_steps = 10 x (sum of path step counts) per
 // iteration.
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 namespace pgl::core {
@@ -52,20 +56,6 @@ struct LayoutConfig {
     /// Worker threads for the Hogwild! engine.
     std::uint32_t threads = 1;
 
-    /// Pin pool workers to CPUs (stable worker -> cpu -> node map, see
-    /// core/topology.hpp). Execution-only like `numa` below: never part of
-    /// the canonical config, because placement never changes the bytes of
-    /// a run — the pinned-vs-unpinned byte-identity ctests enforce it.
-    bool pin = false;
-
-    /// NUMA memory-placement policy for the coordinate store and shard
-    /// buffers: "off" (plain heap), "auto" (pages rotate over the nodes
-    /// hosting workers), "interleave" (over every node), "node:K" (one
-    /// node). Parsed by core::parse_numa_policy at engine init — an
-    /// invalid string throws there. Execution-only; excluded from
-    /// canonical_config / canonical_request like `executor`/`processes`.
-    std::string numa = "off";
-
     /// PRNG seed; every run with the same seed and 1 thread is bit-exact.
     std::uint64_t seed = 9'399'220'614'123'047ULL;
 
@@ -103,14 +93,48 @@ struct LayoutConfig {
         return schedule_iter_max ? schedule_iter_max : iter_max;
     }
 
+    /// Requires cooling_start in [0, 1] (check_config), so the product
+    /// fits the cast.
     bool cooling(std::uint32_t iter) const noexcept {
         return iter >= static_cast<std::uint32_t>(cooling_start * schedule_length());
     }
 
+    /// Saturates at 1 below and at the largest uint64 above, so no factor
+    /// makes the cast undefined.
     std::uint64_t steps_per_iteration(std::uint64_t total_path_steps) const noexcept {
         const double s = steps_per_iter_factor * static_cast<double>(total_path_steps);
-        return s < 1.0 ? 1 : static_cast<std::uint64_t>(s);
+        if (!(s >= 1.0)) return 1;
+        if (s >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+        return static_cast<std::uint64_t>(s);
     }
 };
+
+/// Throws std::invalid_argument, naming the field by its CLI/wire key,
+/// unless every floating-point knob is usable: factor, eps, eta_max and
+/// init_jitter finite and >= 0, cooling_start in [0, 1]. The companion of
+/// rng::check_zipf_theta, called at engine init and by the serve request
+/// parser; out-of-range values would otherwise reach casts whose result is
+/// undefined.
+inline void check_config(const LayoutConfig& cfg) {
+    const auto show = [](double v) {  // shortest round trip: "1e+300", "nan"
+        char buf[32];
+        return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    };
+    const auto non_negative = [&](const char* key, double v) {
+        if (!std::isfinite(v) || v < 0.0) {
+            throw std::invalid_argument(std::string(key) +
+                                        ": must be finite and >= 0, got " +
+                                        show(v));
+        }
+    };
+    non_negative("factor", cfg.steps_per_iter_factor);
+    non_negative("eps", cfg.eps);
+    non_negative("eta_max", cfg.eta_max);
+    non_negative("init_jitter", cfg.init_jitter);
+    if (!(cfg.cooling_start >= 0.0 && cfg.cooling_start <= 1.0)) {
+        throw std::invalid_argument("cooling_start: must be in [0, 1], got " +
+                                    show(cfg.cooling_start));
+    }
+}
 
 }  // namespace pgl::core

@@ -17,9 +17,11 @@
 //     excluded.
 //
 // Callers composing a larger key (backend, partition, multilevel) append
-// their own fields around this core string; see serve::cache_key.
+// their own fields around this core string; see serve::cache_key. The
+// rendering is one-way: the string is hashed into a key and never parsed
+// back into a config. Execution-only knobs such as the partition's
+// component_workers live outside LayoutConfig and never appear in it.
 #include <string>
-#include <string_view>
 
 #include "core/config.hpp"
 
@@ -39,20 +41,5 @@ std::string canonical_config(const LayoutConfig& cfg);
 /// format canonical_config uses — exposed so other key builders render
 /// doubles identically.
 std::string canonical_double(double v);
-
-/// Applies one canonical `name=value` field to `cfg`. Returns false for a
-/// field name canonical_config does not emit (callers layering their own
-/// fields — backend, multilevel — handle those first and fall through
-/// here); throws std::invalid_argument on a malformed value.
-bool apply_canonical_field(LayoutConfig& cfg, std::string_view name,
-                           std::string_view value);
-
-/// Inverse of canonical_config: parses a `name=value;...` string back into
-/// a LayoutConfig (unmentioned fields keep their defaults). Throws
-/// std::invalid_argument on malformed input or an unknown field. The
-/// round trip parse(canonical_config(cfg)) reproduces every
-/// output-affecting field exactly — this is the wire format the
-/// multi-process partition executor ships configs to worker processes in.
-LayoutConfig parse_canonical_config(std::string_view spec);
 
 }  // namespace pgl::core

@@ -6,12 +6,10 @@
 #include <memory>
 
 #include "core/kernels/update_kernel.hpp"
-#include "core/node_alloc.hpp"
 #include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
 #include "core/thread_pool.hpp"
-#include "core/topology.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace pgl::core {
@@ -134,39 +132,27 @@ protected:
         // Resolving here also validates cfg.kernel: an unknown name throws
         // before any work starts, on both loops (the Hogwild loop applies
         // terms as it samples them and never drains a batch).
-        // resolve_placement likewise validates cfg.numa up front.
         kernel_ = make_update_kernel(cfg_.kernel);
         // Hogwild: one worker per thread, none (inline on the caller) for a
         // single thread. Pipelined: always at least one producer, so even a
         // single-threaded config overlaps sampling with the consumer's
         // updates. The pool outlives every run(): workers are spawned once
-        // per init(), never inside the iteration loop. It is recreated when
-        // the size *or* the placement plan changes — repinning live workers
-        // is not supported.
+        // per init(), never inside the iteration loop, and recreated only
+        // when the size changes.
         const std::uint32_t n = loop_ == CpuLoop::kHogwild
                                     ? (cfg_.threads > 1 ? cfg_.threads : 0)
                                     : std::max<std::uint32_t>(cfg_.threads, 1);
-        place_ = resolve_placement(cfg_, n);
-        const std::string key = place_.key();
-        if (!pool_ || pool_->size() != n || pool_key_ != key) {
-            pool_ = std::make_unique<ThreadPool>(n, place_.plan);
-            pool_key_ = key;
+        if (!pool_ || pool_->size() != n) {
+            pool_ = std::make_unique<ThreadPool>(n);
         }
     }
 
     LayoutResult do_run(const LayoutConfig& cfg) override {
-        const Layout initial = make_initial_layout(*graph_, cfg);
         ProgressHook hook;
         if (has_progress_hook()) {
             hook = [this](const IterationStats& s) { emit_progress(s); };
         }
-        XYStore store;
-        if (place_.memory_active()) {
-            NodeAllocator alloc(place_, *pool_);
-            store.load(initial, alloc);
-        } else {
-            store.load(initial);
-        }
+        XYStore store(make_initial_layout(*graph_, cfg));
         if (loop_ == CpuLoop::kHogwild) {
             return run_hogwild(*graph_, cfg, store, hook, *pool_);
         }
@@ -177,8 +163,6 @@ private:
     CpuLoop loop_;
     std::unique_ptr<const UpdateKernel> kernel_;
     std::unique_ptr<ThreadPool> pool_;
-    PlacementContext place_;
-    std::string pool_key_;
 };
 
 }  // namespace

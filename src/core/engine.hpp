@@ -41,7 +41,7 @@ struct LayoutResult {
 };
 
 /// The degenerate-graph rule shared by every execution path — flat runs,
-/// the multilevel plan interpreter, and both partition executors: a graph
+/// the multilevel plan interpreter, and the partition scheduler: a graph
 /// with zero sampleable path terms has an empty SGD objective (the alias
 /// table cannot even be built), so the seeded initial layout IS the final
 /// layout. Returns an engaged zero-update result for such graphs and
@@ -96,8 +96,10 @@ public:
     virtual std::string_view name() const noexcept = 0;
 
     /// Binds the engine to a graph and configuration. Must be called before
-    /// run(); may be called again to re-target the engine.
+    /// run(); may be called again to re-target the engine. Throws
+    /// std::invalid_argument when check_config rejects `cfg`.
     void init(const graph::LeanGraph& g, const LayoutConfig& cfg) {
+        check_config(cfg);
         graph_ = &g;
         cfg_ = cfg;
         do_init();

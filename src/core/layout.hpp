@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/node_alloc.hpp"
 #include "graph/lean_graph.hpp"
 #include "rng/xoshiro256.hpp"
 
@@ -100,72 +99,51 @@ inline Layout make_initial_layout(const graph::LeanGraph& g,
 ///     floats, used by the Hogwild engines so their deliberate data races
 ///     stay defined behaviour.
 ///
-/// Storage is either plain heap vectors (the default) or NUMA-placed
-/// blocks from a core::NodeAllocator (the load overload engines use when a
-/// --numa policy is active); every accessor runs off the same raw
-/// pointers, so the two are byte-indistinguishable to all consumers.
-/// Copying deep-copies the coordinates into heap storage — placement is an
-/// execution property of the run that produced the store, never of a copy.
+/// Storage is two plain vectors, so copies and moves are the defaulted
+/// member-wise ones.
 class XYStore {
 public:
     XYStore() = default;
     explicit XYStore(const Layout& init) { load(init); }
 
-    XYStore(XYStore&&) noexcept = default;
-    XYStore& operator=(XYStore&&) noexcept = default;
-    XYStore(const XYStore& o) { copy_from(o); }
-    XYStore& operator=(const XYStore& o) {
-        if (this != &o) copy_from(o);
-        return *this;
-    }
-
     void load(const Layout& init) {
         const std::size_t n = init.size();
-        count_ = 2 * n;
-        xblk_ = PlacedBlock();
-        yblk_ = PlacedBlock();
-        xs_.resize(count_);
-        ys_.resize(count_);
-        xp_ = xs_.data();
-        yp_ = ys_.data();
+        xs_.resize(2 * n);
+        ys_.resize(2 * n);
         for (std::size_t i = 0; i < n; ++i) {
-            xp_[2 * i] = init.start_x[i];
-            xp_[2 * i + 1] = init.end_x[i];
-            yp_[2 * i] = init.start_y[i];
-            yp_[2 * i + 1] = init.end_y[i];
+            xs_[2 * i] = init.start_x[i];
+            xs_[2 * i + 1] = init.end_x[i];
+            ys_[2 * i] = init.start_y[i];
+            ys_[2 * i + 1] = init.end_y[i];
         }
     }
 
-    /// Placed storage: the coordinate arrays come from `alloc`, pages
-    /// first-touched per its placement policy (defined in node_alloc.cpp).
-    void load(const Layout& init, NodeAllocator& alloc);
-
-    std::size_t node_count() const noexcept { return count_ / 2; }
-    std::size_t coord_count() const noexcept { return count_; }
+    std::size_t node_count() const noexcept { return xs_.size() / 2; }
+    std::size_t coord_count() const noexcept { return xs_.size(); }
 
     static std::size_t index(std::uint32_t node, End e) noexcept {
         return 2 * static_cast<std::size_t>(node) + static_cast<std::size_t>(e);
     }
 
-    float* x() noexcept { return xp_; }
-    float* y() noexcept { return yp_; }
-    const float* x() const noexcept { return xp_; }
-    const float* y() const noexcept { return yp_; }
+    float* x() noexcept { return xs_.data(); }
+    float* y() noexcept { return ys_.data(); }
+    const float* x() const noexcept { return xs_.data(); }
+    const float* y() const noexcept { return ys_.data(); }
 
     float load_x(std::uint32_t node, End e) const noexcept {
-        return std::atomic_ref<const float>(xp_[index(node, e)])
+        return std::atomic_ref<const float>(xs_[index(node, e)])
             .load(std::memory_order_relaxed);
     }
     float load_y(std::uint32_t node, End e) const noexcept {
-        return std::atomic_ref<const float>(yp_[index(node, e)])
+        return std::atomic_ref<const float>(ys_[index(node, e)])
             .load(std::memory_order_relaxed);
     }
     void store_x(std::uint32_t node, End e, float v) noexcept {
-        std::atomic_ref<float>(xp_[index(node, e)])
+        std::atomic_ref<float>(xs_[index(node, e)])
             .store(v, std::memory_order_relaxed);
     }
     void store_y(std::uint32_t node, End e, float v) noexcept {
-        std::atomic_ref<float>(yp_[index(node, e)])
+        std::atomic_ref<float>(ys_[index(node, e)])
             .store(v, std::memory_order_relaxed);
     }
 
@@ -174,32 +152,17 @@ public:
         const std::size_t n = node_count();
         l.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
-            l.start_x[i] = xp_[2 * i];
-            l.end_x[i] = xp_[2 * i + 1];
-            l.start_y[i] = yp_[2 * i];
-            l.end_y[i] = yp_[2 * i + 1];
+            l.start_x[i] = xs_[2 * i];
+            l.end_x[i] = xs_[2 * i + 1];
+            l.start_y[i] = ys_[2 * i];
+            l.end_y[i] = ys_[2 * i + 1];
         }
         return l;
     }
 
 private:
-    void copy_from(const XYStore& o) {
-        count_ = o.count_;
-        xblk_ = PlacedBlock();
-        yblk_ = PlacedBlock();
-        xs_.assign(o.xp_, o.xp_ + o.count_);
-        ys_.assign(o.yp_, o.yp_ + o.count_);
-        xp_ = xs_.data();
-        yp_ = ys_.data();
-    }
-
     std::vector<float> xs_;
     std::vector<float> ys_;
-    PlacedBlock xblk_;
-    PlacedBlock yblk_;
-    float* xp_ = nullptr;
-    float* yp_ = nullptr;
-    std::size_t count_ = 0;
 };
 
 /// Packed per-node record of the cache-friendly data layout (CDL, Fig. 9b).

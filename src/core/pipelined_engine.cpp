@@ -101,9 +101,7 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
     // applies bufs[cur]. No reserve: the staged fill sizes exactly the
     // apply columns on first use (reserve() would also allocate the six
     // replay columns it never writes), and the capacity persists. Shard
-    // tid's buffers are only ever written by producer tid, so with pinned
-    // workers first touch lands them on the producer's own node — no
-    // explicit placement needed.
+    // tid's buffers are only ever written by producer tid.
     std::vector<TermBatch> bufs[2];
     for (auto& side : bufs) side.resize(n_shards);
     std::vector<ShardCounter> fill_skipped(n_shards);

@@ -15,15 +15,7 @@
 // A pool of size 0 is a valid degenerate pool: run() executes the job
 // inline on the caller, so single-threaded configurations pay no
 // synchronization cost and stay bit-exact with the legacy scalar loop.
-//
-// Workers may optionally be pinned to CPUs via a WorkerPlacement (see
-// core/topology.hpp): each worker pins itself before picking up its first
-// job, giving a stable worker -> cpu -> node map that node-local
-// allocation (core::NodeAllocator) and first-touch buffer warm-ups build
-// on. Pinning is best-effort by contract: a failed set-affinity (CPU
-// outside the cgroup cpuset, non-Linux host) logs one warning, counts
-// `pool.pin.failures`, and the worker continues unpinned — a run is never
-// aborted, and the computed bytes are identical either way.
+// Workers run wherever the OS schedules them; none is pinned to a CPU.
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -31,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/topology.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pgl::core {
@@ -53,12 +44,7 @@ public:
     using Job = std::function<void(std::uint32_t)>;
 
     /// Spawns `n_threads` persistent workers (0 = inline execution).
-    explicit ThreadPool(std::uint32_t n_threads)
-        : ThreadPool(n_threads, WorkerPlacement{}) {}
-
-    /// Same, pinning worker tid to placement.slots[tid].cpu (best-effort;
-    /// workers without a slot, and an empty placement, run unpinned).
-    ThreadPool(std::uint32_t n_threads, WorkerPlacement placement);
+    explicit ThreadPool(std::uint32_t n_threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -66,17 +52,6 @@ public:
 
     std::uint32_t size() const noexcept {
         return static_cast<std::uint32_t>(workers_.size());
-    }
-
-    /// Topology node index worker `tid` was planned onto (0 when the pool
-    /// is unpinned or tid has no slot). The map is fixed at construction —
-    /// valid even if the actual pinning failed.
-    std::uint32_t worker_node(std::uint32_t tid) const noexcept {
-        return tid < placement_.slots.size() ? placement_.slots[tid].node : 0;
-    }
-
-    bool pinning_requested() const noexcept {
-        return !placement_.slots.empty();
     }
 
     /// Starts job(tid) on every worker and returns immediately. Exactly one
@@ -96,10 +71,7 @@ public:
 
 private:
     void worker_loop(std::uint32_t tid);
-    void pin_self(std::uint32_t tid);
 
-    WorkerPlacement placement_;
-    std::once_flag pin_warned_;
     std::vector<std::thread> workers_;
     std::mutex mutex_;
     std::condition_variable cv_work_;
@@ -115,7 +87,6 @@ private:
     // `pool.dispatch_wait_ns` = launch-to-worker-pickup latency per worker;
     // `pool.barrier_wait_ns` = time the caller blocks in wait().
     telemetry::Counter dispatches_;
-    telemetry::Counter pin_failures_;
     telemetry::Histogram dispatch_wait_;
     telemetry::Histogram barrier_wait_;
     std::uint64_t launch_ns_ = 0;  ///< guarded by mutex_

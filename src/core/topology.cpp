@@ -1,94 +1,13 @@
 #include "core/topology.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 #include <thread>
-
-#include "core/config.hpp"
-#include "core/thread_pool.hpp"
-#include "telemetry/telemetry.hpp"
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
 namespace pgl::core {
-
-namespace {
-
-std::uint32_t parse_cpu_number(std::string_view text) {
-    std::uint32_t v = 0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc() || ptr != text.data() + text.size()) {
-        throw std::invalid_argument("malformed cpu list entry: '" +
-                                    std::string(text) + "'");
-    }
-    return v;
-}
-
-std::string_view trim(std::string_view s) {
-    while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
-                          s.front() == '\n' || s.front() == '\r')) {
-        s.remove_prefix(1);
-    }
-    while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
-                          s.back() == '\n' || s.back() == '\r')) {
-        s.remove_suffix(1);
-    }
-    return s;
-}
-
-/// First line of `path` into `line`; false when the file is unreadable (a
-/// distinct signal from an empty file — a node listed in `online` whose
-/// cpulist cannot be read means the sysfs view is broken, not empty).
-bool read_line(const std::string& path, std::string& line) {
-    std::ifstream in(path);
-    if (!in) return false;
-    std::getline(in, line);
-    return true;
-}
-
-Topology fallback_topology(std::vector<std::uint32_t> allowed) {
-    Topology t;
-    if (allowed.empty()) allowed.push_back(0);
-    t.nodes.push_back(NumaNodeInfo{0, allowed});
-    t.allowed = std::move(allowed);
-    return t;
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> parse_cpu_list(std::string_view text) {
-    std::vector<std::uint32_t> cpus;
-    text = trim(text);
-    while (!text.empty()) {
-        const std::size_t comma = text.find(',');
-        std::string_view item = text.substr(0, comma);
-        text.remove_prefix(comma == std::string_view::npos ? text.size()
-                                                           : comma + 1);
-        item = trim(item);
-        if (item.empty()) continue;
-        const std::size_t dash = item.find('-');
-        if (dash == std::string_view::npos) {
-            cpus.push_back(parse_cpu_number(item));
-        } else {
-            const std::uint32_t lo = parse_cpu_number(item.substr(0, dash));
-            const std::uint32_t hi = parse_cpu_number(item.substr(dash + 1));
-            if (hi < lo) {
-                throw std::invalid_argument("reversed cpu range: '" +
-                                            std::string(item) + "'");
-            }
-            for (std::uint32_t c = lo; c <= hi; ++c) cpus.push_back(c);
-        }
-    }
-    std::sort(cpus.begin(), cpus.end());
-    cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
-    return cpus;
-}
 
 std::vector<std::uint32_t> allowed_cpus_self() {
     std::vector<std::uint32_t> cpus;
@@ -106,191 +25,6 @@ std::vector<std::uint32_t> allowed_cpus_self() {
         for (std::uint32_t c = 0; c < hc; ++c) cpus.push_back(c);
     }
     return cpus;
-}
-
-Topology discover_topology_from(const std::string& node_dir,
-                                std::vector<std::uint32_t> allowed) {
-    std::sort(allowed.begin(), allowed.end());
-    allowed.erase(std::unique(allowed.begin(), allowed.end()), allowed.end());
-
-    std::vector<std::uint32_t> node_ids;
-    std::string line;
-    if (!read_line(node_dir + "/online", line)) {
-        return fallback_topology(std::move(allowed));
-    }
-    try {
-        node_ids = parse_cpu_list(line);
-    } catch (const std::invalid_argument&) {
-        return fallback_topology(std::move(allowed));
-    }
-    if (node_ids.empty()) return fallback_topology(std::move(allowed));
-
-    Topology t;
-    for (const std::uint32_t id : node_ids) {
-        if (!read_line(node_dir + "/node" + std::to_string(id) + "/cpulist",
-                       line)) {
-            return fallback_topology(std::move(allowed));
-        }
-        std::vector<std::uint32_t> cpus;
-        try {
-            cpus = parse_cpu_list(line);
-        } catch (const std::invalid_argument&) {
-            return fallback_topology(std::move(allowed));
-        }
-        // Keep only the CPUs this process may run on; a node fully outside
-        // the cpuset does not exist for placement purposes.
-        std::vector<std::uint32_t> mine;
-        std::set_intersection(cpus.begin(), cpus.end(), allowed.begin(),
-                              allowed.end(), std::back_inserter(mine));
-        if (!mine.empty()) t.nodes.push_back(NumaNodeInfo{id, std::move(mine)});
-    }
-    if (t.nodes.empty()) return fallback_topology(std::move(allowed));
-    for (const auto& n : t.nodes) {
-        t.allowed.insert(t.allowed.end(), n.cpus.begin(), n.cpus.end());
-    }
-    std::sort(t.allowed.begin(), t.allowed.end());
-    return t;
-}
-
-const Topology& discover_topology() {
-    static const Topology topo = [] {
-        Topology t = discover_topology_from("/sys/devices/system/node",
-                                            allowed_cpus_self());
-        auto& reg = telemetry::Registry::instance();
-        reg.counter("topology.nodes").add(t.node_count());
-        reg.counter("topology.cpus").add(t.allowed_cpu_count());
-        return t;
-    }();
-    return topo;
-}
-
-NumaPolicy parse_numa_policy(std::string_view text) {
-    NumaPolicy p;
-    if (text == "off") {
-        p.mode = NumaMode::kOff;
-    } else if (text == "auto") {
-        p.mode = NumaMode::kAuto;
-    } else if (text == "interleave") {
-        p.mode = NumaMode::kInterleave;
-    } else if (text.rfind("node:", 0) == 0) {
-        p.mode = NumaMode::kNode;
-        p.node = parse_cpu_number(text.substr(5));
-    } else {
-        throw std::invalid_argument(
-            "invalid numa policy '" + std::string(text) +
-            "' (expected auto, interleave, node:K, or off)");
-    }
-    return p;
-}
-
-std::string to_string(const NumaPolicy& p) {
-    switch (p.mode) {
-        case NumaMode::kOff:
-            return "off";
-        case NumaMode::kAuto:
-            return "auto";
-        case NumaMode::kInterleave:
-            return "interleave";
-        case NumaMode::kNode:
-            return "node:" + std::to_string(p.node);
-    }
-    return "off";
-}
-
-std::string WorkerPlacement::describe() const {
-    std::ostringstream s;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        s << (i ? "," : "") << slots[i].cpu << '@' << slots[i].node;
-    }
-    return s.str();
-}
-
-WorkerPlacement plan_worker_placement(const Topology& topo,
-                                      const NumaPolicy& policy,
-                                      std::uint32_t n_workers) {
-    WorkerPlacement plan;
-    const std::uint32_t n_nodes = topo.node_count();
-    if (n_workers == 0 || n_nodes == 0) return plan;
-    plan.slots.reserve(n_workers);
-
-    const auto slot_on = [&](std::uint32_t node, std::uint32_t rank) {
-        const auto& cpus = topo.nodes[node].cpus;
-        return WorkerSlot{cpus[rank % cpus.size()], node};
-    };
-
-    switch (policy.mode) {
-        case NumaMode::kNode: {
-            const std::uint32_t k = policy.node % n_nodes;
-            for (std::uint32_t w = 0; w < n_workers; ++w) {
-                plan.slots.push_back(slot_on(k, w));
-            }
-            break;
-        }
-        case NumaMode::kInterleave: {
-            for (std::uint32_t w = 0; w < n_workers; ++w) {
-                plan.slots.push_back(slot_on(w % n_nodes, w / n_nodes));
-            }
-            break;
-        }
-        case NumaMode::kOff:
-        case NumaMode::kAuto: {
-            // Contiguous proportional blocks, remainder to the first nodes —
-            // the same split rule as shard_share, so worker block k and
-            // shard block k line up.
-            std::uint32_t w = 0;
-            for (std::uint32_t k = 0; k < n_nodes; ++k) {
-                const std::uint64_t block = shard_share(n_workers, n_nodes, k);
-                for (std::uint64_t r = 0; r < block; ++r, ++w) {
-                    plan.slots.push_back(
-                        slot_on(k, static_cast<std::uint32_t>(r)));
-                }
-            }
-            break;
-        }
-    }
-    return plan;
-}
-
-std::string PlacementContext::key() const {
-    std::string s = pin ? "pin:" : "nopin:";
-    s += to_string(policy);
-    s += ':';
-    s += plan.describe();
-    return s;
-}
-
-PlacementContext resolve_placement(const LayoutConfig& cfg,
-                                   std::uint32_t n_workers) {
-    PlacementContext ctx;
-    ctx.pin = cfg.pin;
-    ctx.policy = parse_numa_policy(cfg.numa);
-    if (!ctx.active()) return ctx;
-
-    ctx.topo = &discover_topology();
-    const std::uint32_t n_nodes = std::max(1u, ctx.topo->node_count());
-    if (ctx.policy.mode == NumaMode::kNode) ctx.policy.node %= n_nodes;
-    if (ctx.pin && n_workers > 0) {
-        ctx.plan = plan_worker_placement(*ctx.topo, ctx.policy, n_workers);
-    }
-    if (ctx.policy.active()) {
-        if (ctx.policy.mode == NumaMode::kNode) {
-            ctx.mem_nodes.push_back(ctx.policy.node);
-        } else if (ctx.policy.mode == NumaMode::kAuto && !ctx.plan.empty()) {
-            // Rotate pages over exactly the nodes hosting workers.
-            for (const WorkerSlot& s : ctx.plan.slots) {
-                ctx.mem_nodes.push_back(s.node);
-            }
-            std::sort(ctx.mem_nodes.begin(), ctx.mem_nodes.end());
-            ctx.mem_nodes.erase(
-                std::unique(ctx.mem_nodes.begin(), ctx.mem_nodes.end()),
-                ctx.mem_nodes.end());
-        } else {
-            for (std::uint32_t k = 0; k < n_nodes; ++k) {
-                ctx.mem_nodes.push_back(k);
-            }
-        }
-    }
-    return ctx;
 }
 
 }  // namespace pgl::core

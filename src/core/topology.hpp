@@ -1,155 +1,17 @@
 #pragma once
-// NUMA topology discovery and placement policy — the machine model behind
-// worker pinning (core::ThreadPool) and node-local allocation
-// (core::NodeAllocator). Past one socket the PG-SGD update loop stops being
-// memory-speed unless the XYStore pages and per-shard TermBatch buffers sit
-// on the node of the workers touching them; everything here exists to make
-// that placement explicit while changing *nothing* about the computed
-// bytes: placement and pinning are execution-only knobs, excluded from the
-// canonical config, and a fixed (seed, threads) run is byte-identical with
-// pinning on, off, or partially failed.
-//
-// Discovery reads sysfs (/sys/devices/system/node/) and the caller's
-// allowed cpuset (sched_getaffinity) — no libnuma dependency. Machines
-// without NUMA sysfs, restricted-cpuset containers, and non-Linux hosts
-// all degrade to a one-node topology covering the allowed CPUs, on which
-// every policy is a well-defined no-op.
+// The CPUs this process may run on — what the driver sizes its pools
+// against. A cgroup quota, a taskset mask or a container limit can allow
+// fewer CPUs than the machine has; oversubscribing that set only
+// time-shares the same CPUs, so the driver clamps `--threads` to it (and
+// the repo benchmark sizes its component workers from it).
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace pgl::core {
 
-struct LayoutConfig;  // core/config.hpp
-
-/// One NUMA node as the caller sees it: the OS node id and the allowed
-/// CPUs on it (sorted). Nodes whose CPUs are all outside the allowed
-/// cpuset are dropped at discovery.
-struct NumaNodeInfo {
-    std::uint32_t os_id = 0;
-    std::vector<std::uint32_t> cpus;
-};
-
-/// The discovered machine: at least one node, each with at least one
-/// allowed CPU. Node order follows ascending os_id; policies index nodes
-/// by *position in this list* (topology index), not by os_id, so a
-/// cpuset-restricted view stays dense.
-struct Topology {
-    std::vector<NumaNodeInfo> nodes;
-    std::vector<std::uint32_t> allowed;  ///< union of node cpus, sorted
-
-    std::uint32_t node_count() const noexcept {
-        return static_cast<std::uint32_t>(nodes.size());
-    }
-    std::uint32_t allowed_cpu_count() const noexcept {
-        return static_cast<std::uint32_t>(allowed.size());
-    }
-    bool single_node() const noexcept { return nodes.size() <= 1; }
-};
-
-/// Parses the kernel's cpulist grammar ("0-3,8,10-11") into a sorted,
-/// deduplicated CPU list. Empty/whitespace input yields an empty list;
-/// malformed input (reversed ranges, non-digits) throws
-/// std::invalid_argument.
-std::vector<std::uint32_t> parse_cpu_list(std::string_view text);
-
-/// The calling thread's allowed CPUs (sched_getaffinity). Falls back to
-/// {0 .. hardware_concurrency-1} when the syscall is unavailable; never
-/// returns an empty list on a working machine.
+/// The calling thread's allowed CPUs (sched_getaffinity), sorted. Falls
+/// back to {0 .. hardware_concurrency-1} when the syscall is unavailable;
+/// never returns an empty list on a working machine.
 std::vector<std::uint32_t> allowed_cpus_self();
-
-/// Discovery against an explicit sysfs node directory (the shape of
-/// /sys/devices/system/node: an `online` cpulist of node ids plus
-/// node<K>/cpulist per node), intersected with `allowed`. The pure,
-/// fixture-testable core of discover_topology(). Any missing or malformed
-/// piece degrades to the one-node fallback over `allowed`.
-Topology discover_topology_from(const std::string& node_dir,
-                                std::vector<std::uint32_t> allowed);
-
-/// The process-wide topology: discover_topology_from("/sys/devices/system/
-/// node", allowed_cpus_self()), computed once and cached. Records the
-/// `topology.nodes` / `topology.cpus` telemetry counters on first call.
-const Topology& discover_topology();
-
-/// Memory-placement policy, the parsed form of the `--numa` knob.
-enum class NumaMode : std::uint8_t {
-    kOff,         ///< no placement: plain heap allocation, first touch wins
-    kAuto,        ///< pages rotate over the nodes hosting workers
-    kInterleave,  ///< pages rotate over every node
-    kNode,        ///< everything on one node (topology index `node`)
-};
-
-struct NumaPolicy {
-    NumaMode mode = NumaMode::kOff;
-    std::uint32_t node = 0;  ///< kNode only; normalized modulo node_count
-
-    bool active() const noexcept { return mode != NumaMode::kOff; }
-};
-
-/// Parses "off" | "auto" | "interleave" | "node:K". Throws
-/// std::invalid_argument naming the accepted forms on anything else.
-NumaPolicy parse_numa_policy(std::string_view text);
-
-std::string to_string(const NumaPolicy& p);
-
-/// Where one pool worker belongs: a CPU to pin to and the topology index
-/// of the node owning that CPU.
-struct WorkerSlot {
-    std::uint32_t cpu = 0;
-    std::uint32_t node = 0;
-};
-
-/// The stable worker -> cpu -> node map for one pool. Deterministic in
-/// (topology, policy, n_workers); an empty plan means "do not pin".
-struct WorkerPlacement {
-    std::vector<WorkerSlot> slots;
-
-    bool empty() const noexcept { return slots.empty(); }
-    /// Compact "cpu@node,cpu@node,..." form — pool identity key and logs.
-    std::string describe() const;
-};
-
-/// Plans pinning for `n_workers` workers under `policy`:
-///   off/auto    contiguous blocks of workers per node (the shard_share
-///               remainder rule), CPUs round-robin within the node;
-///   interleave  worker w -> node w % node_count;
-///   node:K      every worker on node K (normalized modulo node_count).
-/// CPUs repeat when a node hosts more workers than allowed CPUs.
-WorkerPlacement plan_worker_placement(const Topology& topo,
-                                      const NumaPolicy& policy,
-                                      std::uint32_t n_workers);
-
-/// Everything an engine needs to act on cfg.pin / cfg.numa, resolved once
-/// at init. `topo` points at the cached process topology (or is null when
-/// both knobs are off). Copyable; the topology outlives every engine.
-struct PlacementContext {
-    bool pin = false;
-    NumaPolicy policy;
-    const Topology* topo = nullptr;
-    WorkerPlacement plan;  ///< empty unless pin and n_workers > 0
-    std::vector<std::uint32_t> mem_nodes;  ///< topology indices pages rotate
-                                           ///< over (empty when policy off)
-
-    bool active() const noexcept { return pin || policy.active(); }
-    bool memory_active() const noexcept { return policy.active(); }
-
-    /// Owning node (topology index) of page `page` under the policy.
-    std::uint32_t page_node(std::uint64_t page) const noexcept {
-        if (mem_nodes.empty()) return 0;
-        return mem_nodes[page % mem_nodes.size()];
-    }
-
-    /// Pool identity: two contexts with equal keys need the same workers.
-    std::string key() const;
-};
-
-/// Resolves cfg.pin / cfg.numa against the cached topology for a pool of
-/// `n_workers` workers. Throws std::invalid_argument on a malformed
-/// cfg.numa string; an out-of-range node:K degrades deterministically to
-/// K % node_count. With both knobs off this touches no sysfs and returns
-/// an inactive context.
-PlacementContext resolve_placement(const LayoutConfig& cfg,
-                                   std::uint32_t n_workers);
 
 }  // namespace pgl::core

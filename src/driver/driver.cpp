@@ -9,7 +9,6 @@
 #include "draw/svg.hpp"
 #include "io/lay_io.hpp"
 #include "io/pgg_io.hpp"
-#include "partition/executor.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pgl::driver {
@@ -40,20 +39,13 @@ private:
 
 RunOutcome run_layout(const RunRequest& req) {
     RunOutcome out;
-    if (req.component_worker) {
-        out.worker_exit_code = partition::run_component_worker(
-            req.graph_path, req.out_path, req.worker_spec, req.status_fd);
-        return out;
-    }
-
     const Narrator log(req.log);
 
     // Oversubscribing the allowed cpuset (cgroup quota, taskset, container
     // limit) never helps: extra workers just time-share the same CPUs and
     // each shard's batch gets smaller. Clamp and say so. This changes the
     // shard split — and thus the bytes of deterministic backends — so it
-    // happens here, before the config reaches any engine or worker spec,
-    // keeping thread- and process-executor runs in agreement.
+    // happens here, once, before the config reaches any engine.
     core::LayoutConfig cfg = req.config;
     if (cfg.threads > 1) {
         const auto allowed =
@@ -100,9 +92,6 @@ RunOutcome run_layout(const RunRequest& req) {
         popt.schedule.workers = req.component_workers;
         popt.schedule.multilevel = req.multilevel;
         popt.schedule.multilevel_opt = req.ml;
-        popt.schedule.executor = req.executor;
-        popt.schedule.processes = req.processes;
-        popt.schedule.worker_binary = req.worker_binary;
         popt.progress = req.component_progress;
 
         // An owned ingest gives up its labels (it dies with this call); a

@@ -10,19 +10,13 @@
 //
 // The driver owns orchestration only: loading (GFA or .pgg, or adopting a
 // caller-cached LeanIngest), the optional graph-cache write, choosing the
-// flat / multilevel / partitioned execution path (partition runs through
-// the pluggable executor layer — in-process threads or child worker
-// processes), atomic .lay/.svg/.ppm publication, the stress metric, and
-// the stage spans --timing/--trace read. Presentation stays with the
-// caller: the driver narrates through RunRequest::log (one line per
-// event, exactly the lines the CLI historically printed) and never
-// touches std::cout/cerr itself, so the daemon runs the same code path
-// silently.
-//
-// `pgl_layout --component-worker` also routes through run_layout: a
-// request with component_worker set dispatches to the worker entry point
-// (partition/executor.hpp) and returns its exit code, keeping the tool's
-// main() at "parse flags, call run_layout" for every mode.
+// flat / multilevel / partitioned execution path (a partitioned run lays
+// its components out on a pool of in-process threads), atomic
+// .lay/.svg/.ppm publication, the stress metric, and the stage spans
+// --timing/--trace read. Presentation stays with the caller: the driver
+// narrates through RunRequest::log (one line per event, exactly the lines
+// the CLI historically printed) and never touches std::cout/cerr itself,
+// so the daemon runs the same code path silently.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -57,10 +51,7 @@ struct RunRequest {
     std::function<std::unique_ptr<core::LayoutEngine>()> engine_factory;
 
     bool partition = false;
-    std::uint32_t component_workers = 1;  ///< "thread" executor concurrency
-    std::string executor = "thread";      ///< ExecutorRegistry name
-    std::uint32_t processes = 1;          ///< "process" executor concurrency
-    std::string worker_binary;            ///< "process" executor override
+    std::uint32_t component_workers = 1;  ///< components laid out concurrently
 
     bool multilevel = false;
     multilevel::MultilevelOptions ml;
@@ -82,17 +73,9 @@ struct RunRequest {
     /// summaries), newline-free. Unset = silent.
     std::function<void(const std::string&)> log;
 
-    // --- component-worker mode (pgl_layout --component-worker) ------------
-    bool component_worker = false;
-    std::string worker_spec;  ///< encode_worker_spec payload
-    int status_fd = -1;       ///< status-frame pipe; -1 = no reporting
 };
 
 struct RunOutcome {
-    /// component_worker mode: the process exit code; every other field is
-    /// untouched (the worker reports through its own files/pipe).
-    int worker_exit_code = 0;
-
     /// save-graph-only request: the cache was written, no layout was run.
     bool convert_only = false;
 
@@ -121,7 +104,7 @@ struct RunOutcome {
 
 /// Runs the whole pipeline described by `req`. Throws (std::runtime_error
 /// / std::invalid_argument) on load, validation, or execution failure —
-/// after the partition executors have drained in-flight components, so no
+/// after the partition scheduler has drained in-flight components, so no
 /// partial output file is ever published.
 RunOutcome run_layout(const RunRequest& req);
 

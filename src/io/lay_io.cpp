@@ -52,6 +52,18 @@ core::Layout read_layout(std::istream& in) {
     std::uint64_t n = 0;
     in.read(reinterpret_cast<char*>(&n), sizeof n);
     if (!in) throw std::runtime_error("layout file truncated");
+    // Check the declared count against the bytes actually present
+    // (seekable streams only, like read_pgg) so a corrupt header cannot
+    // demand a multi-gigabyte allocation from a small file.
+    if (const auto pos = in.tellg(); pos != std::istream::pos_type(-1)) {
+        in.seekg(0, std::ios::end);
+        const auto end = in.tellg();
+        in.seekg(pos);
+        if (end != std::istream::pos_type(-1) && in &&
+            n > static_cast<std::uint64_t>(end - pos) / (4 * sizeof(float))) {
+            throw std::runtime_error("layout file truncated");
+        }
+    }
     core::Layout l;
     l.resize(n);
     read_floats(in, l.start_x);

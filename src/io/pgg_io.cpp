@@ -133,44 +133,6 @@ void write_pgg_file(const graph::LeanIngest& g, const std::string& path) {
     atomic_write_file(path, [&](std::ostream& out) { write_pgg(g, out); });
 }
 
-void write_pgg_graph(const graph::LeanGraph& lg, std::ostream& out) {
-    out.write(kMagic, sizeof kMagic);
-    HashingWriter w{out, {}};
-
-    w.put_int(std::uint32_t{0});  // flags: no segment names
-    w.put_int(static_cast<std::uint64_t>(lg.node_count()));
-    w.put_int(static_cast<std::uint64_t>(lg.path_count()));
-    w.put_int(lg.total_path_steps());
-    w.put_int(std::uint32_t{1});  // component_count
-
-    const auto lengths = lg.node_lengths();
-    w.put(lengths.data(), lengths.size_bytes());
-    const std::vector<std::uint32_t> zero_labels(lg.node_count(), 0u);
-    w.put(zero_labels.data(), zero_labels.size() * sizeof(std::uint32_t));
-
-    for (std::uint32_t p = 0; p < lg.path_count(); ++p) {
-        w.put_string("p" + std::to_string(p));
-        w.put_int(lg.path_step_count(p));
-        w.put_int(std::uint32_t{0});  // path component
-    }
-
-    for (std::uint32_t p = 0; p < lg.path_count(); ++p) {
-        for (std::uint32_t i = 0; i < lg.path_step_count(p); ++i) {
-            const auto& rec = lg.step_record(p, i);
-            const std::uint32_t packed =
-                graph::Handle::make(rec.node, rec.orient != 0).packed();
-            w.put_int(packed);
-        }
-    }
-
-    const std::uint64_t checksum = w.fnv.h;
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof checksum);
-}
-
-void write_pgg_graph_file(const graph::LeanGraph& g, const std::string& path) {
-    atomic_write_file(path, [&](std::ostream& out) { write_pgg_graph(g, out); });
-}
-
 graph::LeanIngest read_pgg(std::istream& in) {
     char magic[8];
     in.read(magic, sizeof magic);

@@ -32,16 +32,6 @@ namespace pgl::io {
 void write_pgg(const graph::LeanIngest& g, std::ostream& out);
 void write_pgg_file(const graph::LeanIngest& g, const std::string& path);
 
-/// Writes a bare LeanGraph as a single-component cache without copying it
-/// into a LeanIngest: no segment names, synthesized path names ("p0",
-/// "p1", ...), every node and path labeled component 0. This is how the
-/// multi-process partition executor ships one ComponentSubgraph to a
-/// worker process; the worker's read_pgg_file round-trips it into a
-/// bit-identical LeanGraph (positions replayed through LeanGraphBuilder,
-/// exactly like the full writer).
-void write_pgg_graph(const graph::LeanGraph& g, std::ostream& out);
-void write_pgg_graph_file(const graph::LeanGraph& g, const std::string& path);
-
 /// Throws std::runtime_error on bad magic, truncated data, implausible
 /// header counts (including more components than nodes), a step whose
 /// node is labeled with a component other than its path's, or checksum

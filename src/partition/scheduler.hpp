@@ -4,7 +4,9 @@
 // Components are independent layout problems, so the scheduler runs one
 // LayoutEngine per component and spreads the runs across core::ThreadPool
 // workers, largest component first (classic LPT ordering: the big
-// chromosomes dominate wall-clock, so they must start first).
+// chromosomes dominate wall-clock, so they must start first). This is the
+// one way a partitioned run executes: every component is laid out in this
+// process, by whichever pool worker takes it off the shared queue.
 //
 // Determinism contract: every component gets its own engine instance seeded
 // with component_seed(cfg.seed, component_id) — a SplitMix64 mix, so
@@ -49,32 +51,20 @@ struct SchedulerOptions {
     core::LayoutConfig config;            ///< per-engine config; cfg.seed is the
                                           ///< base seed mixed per component
     std::uint32_t workers = 1;            ///< components laid out concurrently
-                                          ///< ("thread" executor)
     /// Lay each component out through the multilevel pass plan
     /// (coarsen -> coarse anneal -> interpolate -> refine) instead of a
     /// flat run. Composes with the determinism contract unchanged: the
     /// plan is derived per component from the same mixed seed config.
     bool multilevel = false;
     multilevel::MultilevelOptions multilevel_opt;
-    /// Execution mechanism (ExecutorRegistry name): "thread" runs
-    /// components in-process on a ThreadPool; "process" farms them to
-    /// child `pgl_layout --component-worker` processes. Execution-only —
-    /// the laid-out bytes are identical by contract, so this never enters
-    /// a canonical request / cache key.
-    std::string executor = "thread";
-    /// Concurrent worker processes ("process" executor; 0 treated as 1).
-    std::uint32_t processes = 1;
-    /// Worker binary override for the "process" executor. Empty resolves
-    /// PGL_LAYOUT_WORKER, then the pgl_layout next to /proc/self/exe.
-    std::string worker_binary;
 };
 
 /// Lays out one component exactly as the scheduler would: a fresh engine of
 /// `opt.backend`, seeded with component_seed(opt.config.seed, component_id).
 /// A component whose lean graph has no sampleable path terms short-circuits
 /// through core::empty_objective_result — the one definition of the
-/// degenerate-graph rule, shared with the multilevel plan interpreter and
-/// both executors. Exposed so tests can produce the standalone
+/// degenerate-graph rule, shared with the multilevel plan interpreter.
+/// Exposed so tests can produce the standalone
 /// per-component runs the partitioned result must match byte-for-byte.
 ///
 /// Each call runs under a telemetry `component` stage span (category
@@ -86,10 +76,11 @@ core::LayoutResult run_component(const ComponentSubgraph& component,
                                  std::uint32_t component_id,
                                  const SchedulerOptions& opt);
 
-/// Policy layer over the pluggable executors (partition/executor.hpp):
-/// validates the backend/kernel/executor names up front, counts the
-/// components into telemetry, then hands the decomposition to the
-/// configured Executor ("thread" or "process") for the actual runs.
+/// Validates the backend and kernel names up front, counts the components
+/// into telemetry, then runs run_component over the largest-first queue on
+/// a pool of min(workers, components) threads (inline on the caller for
+/// workers <= 1). The progress hook fires once per finished component,
+/// serialized.
 class ComponentScheduler {
 public:
     explicit ComponentScheduler(SchedulerOptions opt) : opt_(std::move(opt)) {}

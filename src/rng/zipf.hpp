@@ -24,7 +24,7 @@ namespace pgl::rng {
 
 /// Throws std::invalid_argument unless `theta` is a usable Zipf exponent:
 /// finite and > 0. Shared by every boundary a theta crosses (wire request,
-/// worker spec, table construction).
+/// table construction); core::check_config guards the other float knobs.
 inline void check_zipf_theta(double theta) {
     if (!std::isfinite(theta) || theta <= 0.0) {
         throw std::invalid_argument("zipf_theta must be finite and > 0, got " +

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/config_canon.hpp"
-#include "core/topology.hpp"
 #include "rng/zipf.hpp"
 
 namespace pgl::serve {
@@ -57,16 +56,6 @@ JobRequest parse_request(const JsonValue& submit) {
                 r.config.zipf_space_max = v.as_uint();
             } else if (key == "threads") {
                 r.config.threads = checked_uint<std::uint32_t>(v, "threads");
-            } else if (key == "pin") {
-                // Execution-only, like executor/processes below: placement
-                // never changes the bytes, so neither knob enters the
-                // canonical request.
-                r.config.pin = v.as_bool();
-            } else if (key == "numa") {
-                // Validated here so a bad policy fails the submit with a
-                // "config.numa: ..." error instead of failing the job later.
-                core::parse_numa_policy(v.as_string());
-                r.config.numa = v.as_string();
             } else if (key == "seed") {
                 r.config.seed = v.as_uint();
             } else if (key == "init_jitter") {
@@ -76,13 +65,6 @@ JobRequest parse_request(const JsonValue& submit) {
             } else if (key == "component_workers") {
                 r.component_workers =
                     checked_uint<std::uint32_t>(v, "component_workers");
-            } else if (key == "executor") {
-                // Execution mechanism only ("thread" / "process") — the
-                // laid-out bytes are identical by contract, so this never
-                // enters the canonical request.
-                r.executor = v.as_string();
-            } else if (key == "processes") {
-                r.processes = checked_uint<std::uint32_t>(v, "processes");
             } else if (key == "multilevel") {
                 // 0 = off, N >= 1 = on with N coarsening levels — the CLI's
                 // --multilevel[=N] shape.
@@ -106,6 +88,13 @@ JobRequest parse_request(const JsonValue& submit) {
             throw std::runtime_error("config." + key + ": " + e.what());
         }
     }
+    // The float knobs are checked together once every key is in; the
+    // message already leads with the offending key.
+    try {
+        core::check_config(r.config);
+    } catch (const std::exception& e) {
+        throw std::runtime_error(std::string("config.") + e.what());
+    }
     return r;
 }
 
@@ -122,14 +111,10 @@ JsonValue request_to_json(const JobRequest& r) {
     config["zipf_theta"] = JsonValue(r.config.zipf_theta);
     config["zipf_space_max"] = JsonValue(r.config.zipf_space_max);
     config["threads"] = JsonValue(std::uint64_t{r.config.threads});
-    config["pin"] = JsonValue(r.config.pin);
-    config["numa"] = JsonValue(r.config.numa);
     config["seed"] = JsonValue(r.config.seed);
     config["init_jitter"] = JsonValue(r.config.init_jitter);
     config["partition"] = JsonValue(r.partition);
     config["component_workers"] = JsonValue(std::uint64_t{r.component_workers});
-    config["executor"] = JsonValue(r.executor);
-    config["processes"] = JsonValue(std::uint64_t{r.processes});
     config["multilevel"] =
         JsonValue(std::uint64_t{r.multilevel ? r.ml.levels : 0});
     config["coarse_iters"] = JsonValue(std::uint64_t{r.ml.coarse_iters});

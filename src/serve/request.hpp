@@ -8,9 +8,9 @@
 // kernel, core::LayoutConfig knobs, partition, multilevel). The canonical
 // form includes exactly the fields that select the bytes of the finished
 // .lay — so two requests that must produce identical output share one
-// cache entry — and excludes pure execution knobs (component_workers,
-// executor, processes: the partition executors are byte-identical at any
-// worker/process count, in-process or multi-process).
+// cache entry — and excludes the one pure execution knob,
+// component_workers: a partitioned run is byte-identical at any worker
+// count.
 #include <cstdint>
 #include <string>
 
@@ -26,17 +26,17 @@ struct JobRequest {
     core::LayoutConfig config;  ///< kernel/iters/seed/threads/... knobs
     bool partition = false;
     std::uint32_t component_workers = 1;  ///< execution-only: not in the key
-    std::string executor = "thread";      ///< execution-only: not in the key
-    std::uint32_t processes = 1;          ///< execution-only: not in the key
     bool multilevel = false;
     multilevel::MultilevelOptions ml;
 };
 
 /// Builds a JobRequest from a submit command's fields: `graph` (string,
-/// required) and the optional `config` object. Unknown config keys and
-/// wrongly-typed values throw std::runtime_error naming the key — a
-/// mistyped request must fail loudly, not silently run defaults. Field
-/// order in the JSON is irrelevant by construction.
+/// required) and the optional `config` object. Unknown config keys,
+/// wrongly-typed values and values core::check_config or
+/// rng::check_zipf_theta reject throw std::runtime_error naming the key
+/// ("config.<key>: ...") — a mistyped request must fail loudly, not
+/// silently run defaults or reach an engine. Field order in the JSON is
+/// irrelevant by construction.
 JobRequest parse_request(const JsonValue& submit);
 
 /// The request as a wire-format JSON object (inverse of parse_request,

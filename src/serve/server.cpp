@@ -382,8 +382,6 @@ core::Layout Server::run_job(Job& job) {
     req.config.cancel = job.cancel_flag;
     req.partition = r.partition;
     req.component_workers = r.component_workers;
-    req.executor = r.executor;
-    req.processes = r.processes;
     req.multilevel = r.multilevel;
     req.ml = r.ml;
     req.component_progress = [&job](const partition::ComponentProgress& p) {

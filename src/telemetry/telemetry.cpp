@@ -7,14 +7,10 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <mutex>
-#include <stdexcept>
-#include <string_view>
-#include <system_error>
 #include <vector>
 
 namespace pgl::telemetry {
@@ -186,30 +182,21 @@ double Histogram::quantile(double q) const noexcept {
 }
 
 void Histogram::merge_from(const Histogram& other) const noexcept {
-    std::uint64_t counts[kNumBuckets];
     for (std::uint32_t b = 0; b < kNumBuckets; ++b) {
-        counts[b] = other.impl_->buckets[b].load(std::memory_order_relaxed);
-    }
-    merge_counts(counts, other.count(), other.sum(), other.min(), other.max());
-}
-
-void Histogram::merge_counts(const std::uint64_t* bucket_counts,
-                             std::uint64_t count, std::uint64_t sum,
-                             std::uint64_t min,
-                             std::uint64_t max) const noexcept {
-    for (std::uint32_t b = 0; b < kNumBuckets; ++b) {
-        const std::uint64_t n = bucket_counts[b];
+        const std::uint64_t n =
+            other.impl_->buckets[b].load(std::memory_order_relaxed);
         if (n) impl_->buckets[b].fetch_add(n, std::memory_order_relaxed);
     }
+    const std::uint64_t count = other.count();
     impl_->count.fetch_add(count, std::memory_order_relaxed);
-    impl_->sum.fetch_add(sum, std::memory_order_relaxed);
+    impl_->sum.fetch_add(other.sum(), std::memory_order_relaxed);
     if (count > 0) {
-        std::uint64_t v = min;
+        std::uint64_t v = other.min();
         std::uint64_t cur = impl_->min.load(std::memory_order_relaxed);
         while (v < cur && !impl_->min.compare_exchange_weak(
                               cur, v, std::memory_order_relaxed)) {
         }
-        v = max;
+        v = other.max();
         cur = impl_->max.load(std::memory_order_relaxed);
         while (v > cur && !impl_->max.compare_exchange_weak(
                               cur, v, std::memory_order_relaxed)) {
@@ -425,108 +412,6 @@ std::string snapshot_json() {
     return out;
 }
 
-std::string snapshot_wire() {
-    auto& reg = Registry::instance();
-    std::string out = "pgltel1\n";
-    Registry::Impl* impl = reg.impl_;
-    std::lock_guard<std::mutex> lk(impl->mu);
-    for (auto& [name, c] : impl->counters) {
-        const std::uint64_t v = c.value.load(std::memory_order_relaxed);
-        if (v == 0) continue;
-        out += "c " + name + " " + std::to_string(v) + "\n";
-    }
-    for (auto& [name, h] : impl->histograms) {
-        const std::uint64_t count = h.count.load(std::memory_order_relaxed);
-        if (count == 0) continue;
-        const std::uint64_t min = h.min.load(std::memory_order_relaxed);
-        out += "h " + name + " " + std::to_string(count) + " " +
-               std::to_string(h.sum.load(std::memory_order_relaxed)) + " " +
-               std::to_string(min == ~0ull ? 0 : min) + " " +
-               std::to_string(h.max.load(std::memory_order_relaxed));
-        for (std::uint32_t b = 0; b < Histogram::kNumBuckets; ++b) {
-            const std::uint64_t n = h.buckets[b].load(std::memory_order_relaxed);
-            if (n) out += " " + std::to_string(b) + ":" + std::to_string(n);
-        }
-        out += "\n";
-    }
-    return out;
-}
-
-namespace {
-
-std::uint64_t parse_wire_u64(std::string_view& line, const char* what) {
-    while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-    std::uint64_t v = 0;
-    const auto [ptr, ec] =
-        std::from_chars(line.data(), line.data() + line.size(), v);
-    if (ec != std::errc() || ptr == line.data()) {
-        throw std::runtime_error(std::string("telemetry wire snapshot: bad ") +
-                                 what);
-    }
-    line.remove_prefix(static_cast<std::size_t>(ptr - line.data()));
-    return v;
-}
-
-std::string parse_wire_name(std::string_view& line) {
-    while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-    const std::size_t sp = line.find(' ');
-    if (sp == 0 || sp == std::string_view::npos) {
-        throw std::runtime_error("telemetry wire snapshot: bad metric name");
-    }
-    std::string name(line.substr(0, sp));
-    line.remove_prefix(sp);
-    return name;
-}
-
-}  // namespace
-
-void merge_snapshot_wire(const std::string& wire) {
-    if (wire.empty()) return;
-    std::string_view rest = wire;
-    const std::size_t nl = rest.find('\n');
-    if (rest.substr(0, nl) != "pgltel1") {
-        throw std::runtime_error("telemetry wire snapshot: bad header");
-    }
-    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
-    auto& reg = Registry::instance();
-    while (!rest.empty()) {
-        const std::size_t end = rest.find('\n');
-        std::string_view line = rest.substr(0, end);
-        rest.remove_prefix(end == std::string_view::npos ? rest.size()
-                                                         : end + 1);
-        if (line.empty()) continue;
-        const char kind = line.front();
-        line.remove_prefix(1);
-        if (kind == 'c') {
-            const std::string name = parse_wire_name(line);
-            reg.counter(name).add(parse_wire_u64(line, "counter value"));
-        } else if (kind == 'h') {
-            const std::string name = parse_wire_name(line);
-            const std::uint64_t count = parse_wire_u64(line, "count");
-            const std::uint64_t sum = parse_wire_u64(line, "sum");
-            const std::uint64_t min = parse_wire_u64(line, "min");
-            const std::uint64_t max = parse_wire_u64(line, "max");
-            std::uint64_t buckets[Histogram::kNumBuckets] = {};
-            while (!line.empty()) {
-                const std::uint64_t b = parse_wire_u64(line, "bucket index");
-                if (b >= Histogram::kNumBuckets || line.empty() ||
-                    line.front() != ':') {
-                    throw std::runtime_error(
-                        "telemetry wire snapshot: bad bucket entry");
-                }
-                line.remove_prefix(1);
-                buckets[b] = parse_wire_u64(line, "bucket count");
-                while (!line.empty() && line.front() == ' ') {
-                    line.remove_prefix(1);
-                }
-            }
-            reg.histogram(name).merge_counts(buckets, count, sum, min, max);
-        } else {
-            throw std::runtime_error(
-                "telemetry wire snapshot: unknown record kind");
-        }
-    }
-}
 
 bool write_chrome_trace(const std::string& path) {
     std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -560,10 +445,6 @@ std::uint64_t now_ns() { return 0; }
 std::string snapshot_json() {
     return "{\"enabled\":false,\"counters\":{},\"histograms\":{}}";
 }
-
-std::string snapshot_wire() { return ""; }
-
-void merge_snapshot_wire(const std::string&) {}
 
 bool write_chrome_trace(const std::string& path) {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);

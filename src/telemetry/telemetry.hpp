@@ -39,26 +39,6 @@ std::uint64_t now_ns();
 /// with keys sorted, histogram objects carrying count/sum/min/max/p50/p95/p99.
 std::string snapshot_json();
 
-/// Compact line-based serialization of the whole registry *including raw
-/// histogram buckets* — unlike snapshot_json, whose quantile summaries
-/// cannot be merged faithfully. This is the cross-process wire format the
-/// multi-process partition executor ships worker telemetry back over:
-///   pgltel1
-///   c <name> <value>
-///   h <name> <count> <sum> <min> <max> <bucket>:<n> ...
-/// Metric names are code-controlled dot identifiers (never spaces), so
-/// whitespace splitting is unambiguous. Empty when telemetry is compiled
-/// out.
-std::string snapshot_wire();
-
-/// Merges a snapshot_wire() payload (typically read from a worker process's
-/// status pipe) into this process's Registry: counters add, histograms
-/// merge bucket-by-bucket through the same machinery as
-/// Histogram::merge_from, so quantiles over the merged data stay faithful.
-/// Throws std::runtime_error on a malformed payload; a no-op on an empty
-/// payload or when telemetry is compiled out.
-void merge_snapshot_wire(const std::string& wire);
-
 /// Writes a Chrome trace-event file (loadable in chrome://tracing and
 /// Perfetto). Duration events for stage spans, async events for queue waits,
 /// plus the full registry snapshot under a top-level "telemetry" key (extra
@@ -104,13 +84,6 @@ public:
     /// Adds other's buckets/count/sum into this one (associative and
     /// commutative up to concurrent records).
     void merge_from(const Histogram& other) const noexcept;
-    /// The raw merge primitive behind merge_from and the cross-process
-    /// wire-snapshot import: adds `bucket_counts[0..kNumBuckets)` into the
-    /// buckets and folds the count/sum/min/max totals in. `min`/`max` are
-    /// ignored when `count` is zero.
-    void merge_counts(const std::uint64_t* bucket_counts, std::uint64_t count,
-                      std::uint64_t sum, std::uint64_t min,
-                      std::uint64_t max) const noexcept;
     void reset() const noexcept;
 
     /// Bucket index for a value — exposed for tests.
@@ -142,7 +115,6 @@ private:
     struct Impl;
     Impl* impl_;
     friend std::string snapshot_json();
-    friend std::string snapshot_wire();
 };
 
 /// Span/trace collector. Disabled by default: StageSpan still feeds its
@@ -207,8 +179,6 @@ public:
     std::uint64_t max() const noexcept { return 0; }
     double quantile(double) const noexcept { return 0.0; }
     void merge_from(const Histogram&) const noexcept {}
-    void merge_counts(const std::uint64_t*, std::uint64_t, std::uint64_t,
-                      std::uint64_t, std::uint64_t) const noexcept {}
     void reset() const noexcept {}
     static std::uint32_t bucket_index(std::uint64_t) noexcept { return 0; }
     static std::uint64_t bucket_lower(std::uint32_t) noexcept { return 0; }

@@ -1,8 +1,9 @@
 # CLI-level ingestion contract, run as a ctest:
 #
 #   1. Checked numeric option parsing: garbage / out-of-range values for
-#      --iters, --threads, --component-workers must exit non-zero with a
-#      diagnostic naming the flag (std::atoi silently made them 0).
+#      --iters, --threads, --component-workers, and non-finite --factor
+#      values, must exit non-zero with a diagnostic naming the flag
+#      (std::atoi silently made them 0; from_chars accepts nan and inf).
 #   2. Graph-cache byte equivalence: laying out a whole-genome GFA and
 #      laying out its .pgg cache (--save-graph / --load-graph) must produce
 #      byte-identical .lay files, with and without --partition.
@@ -28,6 +29,8 @@ foreach(bad_args
     "--threads|2x"
     "--component-workers|many"
     "--factor|fast"
+    "--factor|nan"
+    "--factor|inf"
     "--seed|0xg")
   string(REPLACE "|" ";" bad_list "${bad_args}")
   list(GET bad_list 0 flag)

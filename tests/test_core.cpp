@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "core/cpu_engine.hpp"
+#include "core/engine.hpp"
 #include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
@@ -374,6 +378,53 @@ TEST(LayoutStores, AtomicAccessorsAliasTheRawArrays) {
     EXPECT_FLOAT_EQ(store.x()[core::XYStore::index(3, End::kEnd)], 42.5f);
     store.y()[core::XYStore::index(2, End::kStart)] = -7.25f;
     EXPECT_FLOAT_EQ(store.load_y(2, End::kStart), -7.25f);
+}
+
+// --- Config range checks ---
+
+TEST(ConfigCheck, RejectsUnusableFloatKnobs) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_NO_THROW(core::check_config(core::LayoutConfig{}));
+    const auto rejects = [](auto set) {
+        core::LayoutConfig cfg;
+        set(cfg);
+        EXPECT_THROW(core::check_config(cfg), std::invalid_argument);
+    };
+    for (const double bad : {nan, inf, -inf, -1.0}) {
+        rejects([&](core::LayoutConfig& c) { c.steps_per_iter_factor = bad; });
+        rejects([&](core::LayoutConfig& c) { c.eps = bad; });
+        rejects([&](core::LayoutConfig& c) { c.eta_max = bad; });
+        rejects([&](core::LayoutConfig& c) { c.init_jitter = bad; });
+        rejects([&](core::LayoutConfig& c) { c.cooling_start = bad; });
+    }
+    rejects([](core::LayoutConfig& c) { c.cooling_start = 1.0000001; });
+    rejects([](core::LayoutConfig& c) { c.cooling_start = 1e300; });
+    core::LayoutConfig edge;
+    edge.cooling_start = 1.0;
+    edge.steps_per_iter_factor = 1e300;
+    EXPECT_NO_THROW(core::check_config(edge));
+}
+
+TEST(ConfigCheck, StepsPerIterationSaturates) {
+    core::LayoutConfig cfg;
+    cfg.steps_per_iter_factor = 1e300;
+    EXPECT_EQ(cfg.steps_per_iteration(1000),
+              std::numeric_limits<std::uint64_t>::max());
+    cfg.steps_per_iter_factor = 0.0;
+    EXPECT_EQ(cfg.steps_per_iteration(1000), 1u);
+    cfg.steps_per_iter_factor = 2.5;
+    EXPECT_EQ(cfg.steps_per_iteration(1000), 2500u);
+}
+
+TEST(ConfigCheck, EngineInitRejectsOutOfRangeConfig) {
+    const auto g = small_graph(20, 2);
+    core::LayoutConfig cfg;
+    cfg.cooling_start = 2.0;
+    for (const char* backend : {"cpu-soa", "cpu-pipelined", "torch"}) {
+        auto engine = core::make_engine(backend);
+        EXPECT_THROW(engine->init(g, cfg), std::invalid_argument) << backend;
+    }
 }
 
 }  // namespace

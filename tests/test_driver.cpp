@@ -3,8 +3,8 @@
 // contracts pinned here are the ones pgl_layout and the serve daemon rely
 // on: a driver run is byte-identical to hand-wiring the subsystems, the
 // .lay it publishes round-trips, a caller-supplied LeanIngest is adopted
-// without a reload, save-graph-only requests stop after the cache write,
-// and the worker-spec codec used by the process executor round-trips.
+// without a reload, and save-graph-only requests stop after the cache
+// write.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,7 +19,6 @@
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
 #include "io/lay_io.hpp"
-#include "partition/executor.hpp"
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -235,71 +234,6 @@ TEST_F(DriverTest, StressMetricIsThreadInvariant) {
         EXPECT_EQ(at4.ci_low, at1.ci_low);
         EXPECT_EQ(at4.ci_high, at1.ci_high);
     }
-}
-
-TEST(WorkerSpec, RoundTripsFlatOptions) {
-    partition::SchedulerOptions opt;
-    opt.backend = "cpu-pipelined";
-    opt.config.kernel = "simd";
-    opt.config.iter_max = 9;
-    opt.config.steps_per_iter_factor = 0.75;
-    opt.config.threads = 3;
-    opt.config.pin = true;
-    opt.config.numa = "node:1";
-    opt.config.seed = 123;  // pre-mix; the spec carries the mixed seed
-    const std::uint64_t mixed = partition::component_seed(123, 2);
-
-    const auto parsed =
-        partition::parse_worker_spec(partition::encode_worker_spec(opt, mixed));
-    EXPECT_EQ(parsed.backend, "cpu-pipelined");
-    EXPECT_EQ(parsed.config.kernel, "simd");
-    EXPECT_EQ(parsed.config.iter_max, 9u);
-    EXPECT_EQ(parsed.config.steps_per_iter_factor, 0.75);
-    EXPECT_EQ(parsed.config.threads, 3u);
-    EXPECT_TRUE(parsed.config.pin);
-    EXPECT_EQ(parsed.config.numa, "node:1");
-    EXPECT_EQ(parsed.config.seed, mixed);
-    EXPECT_FALSE(parsed.multilevel);
-    // A worker lays out exactly one component in-process.
-    EXPECT_EQ(parsed.executor, "thread");
-    EXPECT_EQ(parsed.workers, 1u);
-}
-
-TEST(WorkerSpec, RoundTripsMultilevelOptions) {
-    partition::SchedulerOptions opt;
-    opt.multilevel = true;
-    opt.multilevel_opt.levels = 3;
-    opt.multilevel_opt.coarse_iters = 11;
-    opt.multilevel_opt.refine_iters = 4;
-    opt.multilevel_opt.refine_eta = 0.125;
-    opt.multilevel_opt.exact_tail = true;
-
-    const auto parsed =
-        partition::parse_worker_spec(partition::encode_worker_spec(opt, 7));
-    ASSERT_TRUE(parsed.multilevel);
-    EXPECT_EQ(parsed.multilevel_opt.levels, 3u);
-    EXPECT_EQ(parsed.multilevel_opt.coarse_iters, 11u);
-    EXPECT_EQ(parsed.multilevel_opt.refine_iters, 4u);
-    EXPECT_EQ(parsed.multilevel_opt.refine_eta, 0.125);
-    EXPECT_TRUE(parsed.multilevel_opt.exact_tail);
-}
-
-TEST(WorkerSpec, RejectsUnknownFields) {
-    EXPECT_THROW(partition::parse_worker_spec("backend=cpu-soa;bogus=1;"),
-                 std::invalid_argument);
-}
-
-TEST(WorkerSpec, RejectsUnusableZipfTheta) {
-    // from_chars accepts "nan" and "inf"; neither (nor theta <= 0) may
-    // reach the hop sampler's table.
-    for (const char* theta : {"nan", "inf", "-inf", "0", "-0.5"}) {
-        EXPECT_THROW(partition::parse_worker_spec(std::string("zipf_theta=") +
-                                                  theta + ";"),
-                     std::invalid_argument)
-            << theta;
-    }
-    EXPECT_EQ(partition::parse_worker_spec("zipf_theta=1.5;").config.zipf_theta,
-              1.5);
 }
 
 }  // namespace

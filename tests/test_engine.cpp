@@ -7,7 +7,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <atomic>
@@ -481,75 +480,6 @@ TEST(TermBatch, WithoutNudgeDrawsNoExtraVariates) {
         ASSERT_EQ(batch.d_ref[k], ref[k].d_ref) << k;
         ASSERT_EQ(batch.nudge[k], 0.0) << k;
     }
-}
-
-// --- Placement never changes the bytes ---
-
-// The NUMA layer's hard guardrail: for the deterministic backends a fixed
-// (seed, threads) run is byte-identical with pinning and memory placement
-// on, off, or any mix — placement may move pages and workers, never a
-// float. One reference run per (backend, threads), compared against every
-// placement variant, including a pin plan whose CPUs do not exist (the
-// partial-failure path: pinning fails, the run must neither abort nor
-// diverge).
-core::LayoutResult run_placed(const graph::LeanGraph& g, const char* backend,
-                              std::uint32_t threads, bool pin,
-                              const std::string& numa) {
-    core::LayoutConfig cfg;
-    cfg.iter_max = 4;
-    cfg.steps_per_iter_factor = 1.0;
-    cfg.threads = threads;
-    cfg.seed = 424242;
-    cfg.pin = pin;
-    cfg.numa = numa;
-    auto engine = core::make_engine(backend);
-    engine->init(g, cfg);
-    return engine->run();
-}
-
-class PlacementByteIdentity
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint32_t>> {
-};
-
-TEST_P(PlacementByteIdentity, PinnedAndPlacedRunsMatchUnpinned) {
-    const auto [backend, threads] = GetParam();
-    const auto g = small_graph(300, 5);
-    const auto base = run_placed(g, backend, threads, false, "off");
-    expect_same_layout(base, run_placed(g, backend, threads, true, "off"),
-                       "pin only");
-    expect_same_layout(base, run_placed(g, backend, threads, true, "auto"),
-                       "pin + auto");
-    expect_same_layout(base, run_placed(g, backend, threads, false, "interleave"),
-                       "interleave, unpinned");
-    // Out-of-range node:K degrades to K % node_count, still byte-identical.
-    expect_same_layout(base, run_placed(g, backend, threads, true, "node:7"),
-                       "pin + node:7");
-}
-
-// cpu-soa is deterministic at one thread only (Hogwild races otherwise).
-INSTANTIATE_TEST_SUITE_P(
-    DeterministicBackends, PlacementByteIdentity,
-    ::testing::Values(std::make_tuple("cpu-soa", 1u),
-                      std::make_tuple("cpu-pipelined", 1u),
-                      std::make_tuple("cpu-pipelined", 4u)),
-    [](const auto& info) {
-        std::string name = std::string(std::get<0>(info.param)) + "_t" +
-                           std::to_string(std::get<1>(info.param));
-        for (char& c : name) {
-            if (c == '-') c = '_';
-        }
-        return name;
-    });
-
-TEST(PlacementByteIdentityExtra, PartiallyFailedPinStillMatches) {
-    // Drive the failure path directly: a pool pinned to a nonexistent CPU
-    // must run the job unpinned and to completion.
-    core::WorkerPlacement plan;
-    plan.slots = {{1u << 20, 0}};
-    core::ThreadPool pool(1, plan);
-    std::atomic<int> ran{0};
-    pool.run([&](std::uint32_t) { ran.fetch_add(1); });
-    EXPECT_EQ(ran.load(), 1);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the streaming ingestion subsystem: the gfa_stream reader
 // (GFA 1.0 P records, GFA 1.1 W walks, CRLF tolerance, malformed-input
 // rejection, a deterministic mutation fuzz), the write_gfa -> ingest_gfa
-// round trip against LeanGraph::from_graph, and the .pgg binary graph
-// cache (round trip, truncation, corruption, checksum).
+// round trip against LeanGraph::from_graph, the .pgg binary graph cache
+// (round trip, truncation, corruption, checksum), and mutation fuzzes of
+// the two binary loaders, .pgg and .lay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
 #include "graph/lean_graph.hpp"
+#include "io/lay_io.hpp"
 #include "io/pgg_io.hpp"
 #include "partition/components.hpp"
 #include "workloads/synthetic.hpp"
@@ -512,6 +514,177 @@ TEST(PggIo, FileRejectsTrailingBytesAfterChecksum) {
 TEST(PggIo, MissingFileThrows) {
     EXPECT_THROW(io::read_pgg_file("/nonexistent/nowhere.pgg"),
                  std::runtime_error);
+}
+
+// --- binary loader mutation fuzz (.pgg, .lay) ---
+
+/// One random edit of a binary file: a byte overwrite, a single-bit flip,
+/// an inserted byte, a deleted run, or a truncation.
+void mutate_bytes(std::string& s, std::mt19937_64& rng) {
+    const auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    switch (pick(5)) {
+        case 0:  // overwrite
+            if (!s.empty()) s[pick(s.size())] = static_cast<char>(rng() & 0xFF);
+            break;
+        case 1:  // bit flip
+            if (!s.empty()) s[pick(s.size())] ^= static_cast<char>(1u << pick(8));
+            break;
+        case 2:  // insert
+            s.insert(s.begin() + static_cast<std::ptrdiff_t>(pick(s.size() + 1)),
+                     static_cast<char>(rng() & 0xFF));
+            break;
+        case 3:  // delete a run of up to 8 bytes
+            if (!s.empty()) s.erase(pick(s.size()), 1 + pick(8));
+            break;
+        default:  // truncate
+            s.resize(pick(s.size() + 1));
+            break;
+    }
+}
+
+/// Recomputes a .pgg's trailing FNV-1a 64 checksum over the bytes between
+/// the magic and the checksum, so a mutant gets past the final check and
+/// the semantic checks before it are what decide.
+void reseal_pgg(std::string& s) {
+    if (s.size() < 16) return;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::size_t i = 8; i < s.size() - 8; ++i) {
+        h ^= static_cast<unsigned char>(s[i]);
+        h *= 0x100000001b3ull;
+    }
+    std::memcpy(s.data() + s.size() - 8, &h, sizeof h);
+}
+
+/// Every index an accepted .pgg hands its consumers is in range: labels
+/// below component_count, steps on existing nodes inside their path's
+/// component, and name tables the size of what they name. The partition
+/// slicer, which indexes by these labels, must then run cleanly.
+void expect_pgg_in_range(LeanIngest ing) {
+    const LeanGraph& g = ing.graph;
+    ASSERT_EQ(ing.node_component.size(), g.node_count());
+    ASSERT_EQ(ing.path_component.size(), g.path_count());
+    ASSERT_EQ(ing.path_names.size(), g.path_count());
+    ASSERT_TRUE(ing.segment_names.empty() ||
+                ing.segment_names.size() == g.node_count());
+    for (const std::uint32_t c : ing.node_component) {
+        ASSERT_LT(c, ing.component_count);
+    }
+    std::uint64_t steps = 0;
+    for (std::uint32_t p = 0; p < g.path_count(); ++p) {
+        ASSERT_LT(ing.path_component[p], ing.component_count);
+        for (std::uint32_t i = 0; i < g.path_step_count(p); ++i) {
+            const auto node = g.step_record(p, i).node;
+            ASSERT_LT(node, g.node_count());
+            ASSERT_EQ(ing.node_component[node], ing.path_component[p]);
+        }
+        steps += g.path_step_count(p);
+    }
+    ASSERT_EQ(steps, g.total_path_steps());
+    const auto d = partition::decompose(g, partition::take_labels(ing));
+    std::uint64_t nodes = 0;
+    for (const auto& c : d.components) nodes += c.graph.node_count();
+    ASSERT_EQ(nodes, g.node_count());
+}
+
+TEST(PggIo, MutationFuzzEitherThrowsOrLoadsInRange) {
+    std::vector<std::string> seeds;
+    for (const std::string& gfa : {kMiniGfa, read_test_data("walks_crlf.gfa")}) {
+        std::stringstream in(gfa), out;
+        io::write_pgg(graph::ingest_gfa(in), out);
+        seeds.push_back(out.str());
+    }
+    {
+        // Three components, no segment names.
+        using graph::Handle;
+        LeanIngest ing;
+        ing.graph = LeanGraph::from_parts(
+            {4, 1, 7, 2, 9, 3, 5, 8},
+            {{Handle::make(0, false), Handle::make(1, true), Handle::make(2, false)},
+             {Handle::make(2, true), Handle::make(0, false)},
+             {Handle::make(3, false), Handle::make(4, false), Handle::make(5, true)},
+             {Handle::make(6, false), Handle::make(7, false), Handle::make(6, true)}});
+        auto labels = partition::label_components(ing.graph);
+        ing.component_count = labels.count;
+        ing.node_component = std::move(labels.node_component);
+        ing.path_component = std::move(labels.path_component);
+        ing.path_names = {"a", "b", "c", "d"};
+        std::stringstream out;
+        io::write_pgg(ing, out);
+        seeds.push_back(out.str());
+    }
+    std::mt19937_64 rng(0x9661F022u);
+    std::uint32_t accepted = 0, rejected = 0;
+    for (int m = 0; m < 20000; ++m) {
+        std::string input = seeds[static_cast<std::size_t>(m) % seeds.size()];
+        for (std::uint64_t e = 1 + rng() % 3; e > 0; --e) mutate_bytes(input, rng);
+        if (rng() % 4 != 0) reseal_pgg(input);
+        std::stringstream ss(input);
+        LeanIngest ing;
+        try {
+            ing = io::read_pgg(ss);
+        } catch (const std::runtime_error&) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        expect_pgg_in_range(std::move(ing));
+        if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Both outcomes must be reached, or the mutants test nothing.
+    EXPECT_GT(accepted, 200u);
+    EXPECT_GT(rejected, 1000u);
+}
+
+TEST(LayIo, RejectsCountLargerThanFile) {
+    // A header claiming 2^40 segments over a few bytes of payload must be
+    // reported as truncated, not attempted as a terabyte allocation.
+    std::string bytes = "PGLAY001";
+    const std::uint64_t n = 1ull << 40;
+    bytes.append(reinterpret_cast<const char*>(&n), sizeof n);
+    bytes.append(64, '\0');
+    std::stringstream ss(bytes);
+    EXPECT_THROW(io::read_layout(ss), std::runtime_error);
+}
+
+TEST(LayIo, MutationFuzzEitherThrowsOrLoadsInRange) {
+    std::vector<std::string> seeds;
+    for (const std::uint32_t nodes : {0u, 1u, 7u, 40u}) {
+        core::Layout l;
+        l.resize(nodes);
+        for (std::uint32_t i = 0; i < nodes; ++i) {
+            l.start_x[i] = static_cast<float>(i);
+            l.start_y[i] = -static_cast<float>(i);
+            l.end_x[i] = static_cast<float>(i) + 0.5f;
+            l.end_y[i] = 1.0f / static_cast<float>(i + 1);
+        }
+        std::stringstream out;
+        io::write_layout(l, out);
+        seeds.push_back(out.str());
+    }
+    std::mt19937_64 rng(0x1A7F022u);
+    std::uint32_t accepted = 0, rejected = 0;
+    for (int m = 0; m < 20000; ++m) {
+        std::string input = seeds[static_cast<std::size_t>(m) % seeds.size()];
+        for (std::uint64_t e = 1 + rng() % 3; e > 0; --e) mutate_bytes(input, rng);
+        std::stringstream ss(input);
+        core::Layout l;
+        try {
+            l = io::read_layout(ss);
+        } catch (const std::runtime_error&) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        // A loaded layout is four equal-length arrays that fit the input.
+        ASSERT_EQ(l.start_y.size(), l.size());
+        ASSERT_EQ(l.end_x.size(), l.size());
+        ASSERT_EQ(l.end_y.size(), l.size());
+        ASSERT_LE(16 + 16 * l.size(), input.size());
+    }
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 1000u);
 }
 
 }  // namespace

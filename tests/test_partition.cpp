@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,7 +14,6 @@
 #include "core/engine.hpp"
 #include "graph/gfa.hpp"
 #include "graph/gfa_stream.hpp"
-#include "partition/executor.hpp"
 #include "partition/partition.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -205,89 +202,6 @@ TEST(Stitch, PlacedBoundingBoxesDoNotOverlap) {
                 << "components " << a << " and " << b << " overlap";
         }
     }
-}
-
-TEST(ExecutorRegistry, ShipsThreadAndProcess) {
-    const auto names = partition::ExecutorRegistry::instance().names();
-    EXPECT_NE(std::find(names.begin(), names.end(), "thread"), names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "process"), names.end());
-    EXPECT_EQ(partition::make_executor("thread")->name(), "thread");
-    EXPECT_EQ(partition::make_executor("process")->name(), "process");
-}
-
-TEST(ExecutorRegistry, UnknownNameThrowsListingAvailable) {
-    try {
-        partition::make_executor("hovercraft");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("hovercraft"), std::string::npos) << what;
-        EXPECT_NE(what.find("thread"), std::string::npos) << what;
-        EXPECT_NE(what.find("process"), std::string::npos) << what;
-    }
-}
-
-/// The pgl_layout binary the process executor would fork, or "" when this
-/// test binary was built without it (e.g. the sanitizer CI job compiles
-/// only the test targets) — callers GTEST_SKIP on "".
-std::string worker_binary_or_empty() {
-    if (const char* env = std::getenv("PGL_LAYOUT_WORKER")) return env;
-    std::error_code ec;
-    const auto exe = std::filesystem::read_symlink("/proc/self/exe", ec);
-    if (ec) return {};
-    const auto sibling = exe.parent_path() / "pgl_layout";
-    return std::filesystem::exists(sibling, ec) ? sibling.string() : "";
-}
-
-TEST(ProcessExecutor, MatchesThreadExecutorByteForByte) {
-    const std::string worker = worker_binary_or_empty();
-    if (worker.empty()) {
-        GTEST_SKIP() << "no pgl_layout worker binary next to this test";
-    }
-    const auto vg = small_genome(3);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.workers = 2;
-    const auto in_process =
-        partition::partition_layout(decompose_vg(vg), popt);
-
-    popt.schedule.executor = "process";
-    popt.schedule.processes = 2;
-    popt.schedule.worker_binary = worker;
-    const auto multi_process =
-        partition::partition_layout(decompose_vg(vg), popt);
-
-    expect_layout_bitwise_equal(in_process.stitched.layout,
-                                multi_process.stitched.layout);
-    EXPECT_EQ(in_process.updates, multi_process.updates);
-    EXPECT_EQ(in_process.skipped, multi_process.skipped);
-}
-
-TEST(ProcessExecutor, UnrunnableWorkerBinaryFailsEveryComponentLoudly) {
-    // exec of a nonexistent binary makes each child exit 127; the parent
-    // must surface one diagnostic per component, not crash or hang.
-    const auto vg = small_genome(2);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.executor = "process";
-    popt.schedule.worker_binary = "/nonexistent/pgl_layout";
-    try {
-        partition::partition_layout(decompose_vg(vg), popt);
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("2 of 2 components"), std::string::npos) << what;
-        EXPECT_NE(what.find("status 127"), std::string::npos) << what;
-    }
-}
-
-TEST(Scheduler, UnknownExecutorIsRejected) {
-    const auto vg = small_genome(2);
-    partition::PartitionOptions popt;
-    popt.schedule.config = quick_config();
-    popt.schedule.executor = "quantum";
-    EXPECT_THROW(partition::partition_layout(decompose_vg(vg), popt),
-                 std::invalid_argument);
 }
 
 TEST(Scheduler, ResultsIndependentOfWorkerCount) {

@@ -16,9 +16,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/config_canon.hpp"
@@ -176,56 +178,21 @@ TEST(ServeRequest, ExecutionOnlyKnobsDoNotChangeTheKey) {
             R"({"graph":"g","config":{"partition":true,)"
             R"("component_workers":8}})")));
     EXPECT_EQ(a, b);
-    // Same for the executor choice: thread and process runs are
-    // byte-identical by contract, so they key the same cache entry.
-    const std::string c =
-        serve::canonical_request(serve::parse_request(serve::json_parse(
-            R"({"graph":"g","config":{"partition":true,)"
-            R"("executor":"process","processes":4}})")));
-    EXPECT_EQ(a, c);
-    // And for placement: pinning and NUMA policy move pages and workers,
-    // never a float, so a pinned request shares the unpinned cache entry.
-    const std::string d =
-        serve::canonical_request(serve::parse_request(serve::json_parse(
-            R"({"graph":"g","config":{"partition":true,)"
-            R"("pin":true,"numa":"interleave"}})")));
-    EXPECT_EQ(a, d);
 }
 
-TEST(ServeRequest, ExecutorKnobsParseAndRoundTripTheWire) {
-    // Explicit seed: the JSON number model only holds integers exactly up
-    // to 2^53, and the default seed is larger (documented in json.hpp).
-    const serve::JobRequest r = serve::parse_request(serve::json_parse(
-        R"({"graph":"g","config":{"partition":true,"executor":"process",)"
-        R"("processes":3,"seed":41}})"));
-    EXPECT_EQ(r.executor, "process");
-    EXPECT_EQ(r.processes, 3u);
-    // The wire form keeps the execution knobs (a resubmitted request must
-    // run the same way), even though the cache key drops them.
-    const serve::JobRequest back =
-        serve::parse_request(serve::request_to_json(r));
-    EXPECT_EQ(back.executor, "process");
-    EXPECT_EQ(back.processes, 3u);
-    EXPECT_EQ(serve::canonical_request(back), serve::canonical_request(r));
-}
-
-TEST(ServeRequest, PlacementKnobsRideTheWireAndRejectBadPolicy) {
-    const serve::JobRequest r = serve::parse_request(serve::json_parse(
-        R"({"graph":"g","config":{"pin":true,"numa":"node:2","seed":41}})"));
-    EXPECT_TRUE(r.config.pin);
-    EXPECT_EQ(r.config.numa, "node:2");
-    const serve::JobRequest back =
-        serve::parse_request(serve::request_to_json(r));
-    EXPECT_TRUE(back.config.pin);
-    EXPECT_EQ(back.config.numa, "node:2");
-    // A malformed policy fails the submit, tagged with its config key.
-    try {
-        serve::parse_request(serve::json_parse(
-            R"({"graph":"g","config":{"numa":"bogus"}})"));
-        FAIL() << "expected rejection of numa=bogus";
-    } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("config.numa"), std::string::npos)
-            << e.what();
+TEST(ServeRequest, RemovedExecutionKnobsAreUnknownKeys) {
+    // Keys of execution knobs pgl no longer has fall through to the
+    // generic unknown-key rejection, like any misspelled key.
+    for (const char* key : {"executor", "processes", "pin", "numa"}) {
+        try {
+            serve::parse_request(serve::json_parse(
+                std::string(R"({"graph":"g","config":{")") + key +
+                R"(":1}})"));
+            FAIL() << "expected rejection of " << key;
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("config.") + key + ": unknown config key");
+        }
     }
 }
 
@@ -244,18 +211,33 @@ TEST(ServeRequest, KeyCarriesTheLayoutAlgorithmVersion) {
 }
 
 TEST(ServeRequest, UnusableZipfThetaIsRejected) {
-    for (const char* theta : {"0", "-1", "-0.0"}) {
+    // zipf_theta, plus the float knobs core::check_config guards: each bad
+    // value fails the submit tagged with its own key.
+    const std::pair<const char*, const char*> bad[] = {
+        {"zipf_theta", "0"},       {"zipf_theta", "-1"},
+        {"zipf_theta", "-0.0"},    {"factor", "-1"},
+        {"eps", "-0.5"},           {"eta_max", "-2"},
+        {"init_jitter", "-1e-3"},  {"cooling_start", "-0.25"},
+        {"cooling_start", "1.5"},  {"cooling_start", "1e300"},
+    };
+    for (const auto& [key, value] : bad) {
         try {
             serve::parse_request(serve::json_parse(
-                std::string(R"({"graph":"g","config":{"zipf_theta":)") +
-                theta + "}}"));
-            FAIL() << "expected rejection of zipf_theta=" << theta;
+                std::string(R"({"graph":"g","config":{")") + key + "\":" +
+                value + "}}"));
+            FAIL() << "expected rejection of " << key << "=" << value;
         } catch (const std::runtime_error& e) {
-            EXPECT_NE(std::string(e.what()).find("config.zipf_theta"),
+            EXPECT_NE(std::string(e.what()).find(std::string("config.") + key),
                       std::string::npos)
                 << e.what();
         }
     }
+    // A huge but finite factor is usable: the step count saturates.
+    EXPECT_EQ(serve::parse_request(
+                  serve::json_parse(
+                      R"({"graph":"g","config":{"factor":1e300}})"))
+                  .config.steps_per_iteration(10),
+              std::numeric_limits<std::uint64_t>::max());
     // Out-of-range literals (1e999 would be inf) never become a number.
     EXPECT_THROW(serve::json_parse(R"({"zipf_theta":1e999})"),
                  std::runtime_error);

@@ -1,15 +1,17 @@
 #pragma once
 // Shared command-line helpers for the pgl tools (pgl_layout, pgl_serve).
 // Checked numeric option parsing lived as near-identical copies in both
-// tools; this header is the single definition, used for every numeric flag
-// including the multi-process ones (--processes, --status-fd).
+// tools; this header is the single definition, used for every numeric flag.
 //
 // std::atoi silently turned garbage and out-of-range values into 0 and the
 // run "succeeded" with a nonsense config; std::from_chars lets us reject
-// both with a clear diagnostic naming the flag. All helpers exit(2) — the
+// both with a clear diagnostic naming the flag. from_chars also accepts
+// "nan" and "inf", which no numeric flag means, so the double parser
+// rejects non-finite values too. All helpers exit(2) — the
 // tools' usage-error status — on bad input, so call them only from
 // command-line parsing, never from library code.
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -45,9 +47,9 @@ inline double parse_double_or_die(const std::string& flag, const char* text) {
                   << "'\n";
         std::exit(2);
     }
-    if (ec != std::errc() || ptr != end) {
+    if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
         std::cerr << "invalid value for " << flag << ": '" << text
-                  << "' (expected a number)\n";
+                  << "' (expected a finite number)\n";
         std::exit(2);
     }
     return value;

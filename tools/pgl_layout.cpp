@@ -1,17 +1,15 @@
 // pgl-layout — the command-line layout tool, mirroring `odgi layout` with
 // the paper's promised `--gpu` switch (Sec. VII-B: "a user can simply add
 // the --gpu argument"). main() is flag parsing plus one driver::run_layout
-// call: every execution mode — flat, multilevel, partitioned (in-process
-// or multi-process), graph-cache conversion, and the internal
-// --component-worker mode the process executor spawns — runs the same
-// driver pipeline the serve daemon uses.
+// call: every execution mode — flat, multilevel, partitioned and
+// graph-cache conversion — runs the same driver pipeline the serve daemon
+// uses.
 //
 //   pgl-layout -i graph.gfa|graph.pgg -o graph.lay
 //              [--backend NAME | --gpu[=a6000|a100]] [--kernel NAME]
 //              [--iters N] [--factor F] [--threads N] [--seed N]
-//              [--pin] [--numa off|auto|interleave|node:K]
 //              [--save-graph FILE.pgg] [--load-graph FILE.pgg]
-//              [--partition] [--component-workers N] [--processes N]
+//              [--partition] [--component-workers N]
 //              [--per-component-out DIR]
 //              [--multilevel[=LEVELS]] [--refine-iters N] [--exact-tail]
 //              [--svg out.svg] [--ppm out.ppm] [--stress]
@@ -27,9 +25,8 @@
 // converts and exits. With
 // --partition the graph is decomposed into connected components, each
 // component is laid out by its own engine instance — spread across
-// --component-workers threads, or farmed to --processes child worker
-// processes — and the results are shelf-packed onto one canvas (see
-// README "Execution drivers" for the determinism contract).
+// --component-workers threads — and the results are shelf-packed onto one
+// canvas (see README "Execution drivers" for the determinism contract).
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -39,7 +36,6 @@
 #include "cli_common.hpp"
 #include "core/engine.hpp"
 #include "core/kernels/update_kernel.hpp"
-#include "core/topology.hpp"
 #include "driver/driver.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
@@ -57,10 +53,6 @@ void usage(const char* argv0) {
         << "  --iters N           SGD iterations (default 30)\n"
         << "  --factor F          updates per iteration = F x total steps (default 10)\n"
         << "  --threads N         CPU engine workers (default 1)\n"
-        << "  --pin               pin pool workers to CPUs (best effort;\n"
-        << "                      never changes the layout bytes)\n"
-        << "  --numa MODE         NUMA memory placement: off (default), auto,\n"
-        << "                      interleave, node:K (execution-only, like --pin)\n"
         << "  --seed N            PRNG seed\n"
         << "  --save-graph FILE   write the parsed graph as a binary .pgg cache\n"
         << "                      (with no -o: convert and exit)\n"
@@ -68,8 +60,6 @@ void usage(const char* argv0) {
         << "  --partition         decompose into connected components, lay out\n"
         << "                      each with its own engine, stitch one canvas\n"
         << "  --component-workers N  components laid out concurrently (default 1)\n"
-        << "  --processes N       farm components to N child worker processes\n"
-        << "                      (byte-identical to the in-process run)\n"
         << "  --per-component-out DIR  also dump component_<k>.lay per component\n"
         << "  --multilevel[=LEVELS]  coarsen linear runs LEVELS times (default 1),\n"
         << "                      anneal the coarse graph, interpolate, refine\n"
@@ -104,7 +94,6 @@ int main(int argc, char** argv) {
     req.backend.clear();  // resolved to cpu-soa after the alias flags
     std::string in_path, gpu_name, load_graph_path, trace_path;
     bool report_stress = false, progress = false, timing = false;
-    bool processes_set = false;
 
     // CI's smoke loops consume the `--list-backends` / `--list-kernels`
     // output verbatim (`for x in $(pgl_layout --list-...)`), so the contract
@@ -158,10 +147,6 @@ int main(int argc, char** argv) {
             req.config.steps_per_iter_factor = cli::parse_double_or_die(arg, next());
         } else if (arg == "--threads") {
             req.config.threads = cli::parse_int_or_die<std::uint32_t>(arg, next());
-        } else if (arg == "--pin") {
-            req.config.pin = true;
-        } else if (arg == "--numa") {
-            req.config.numa = next();
         } else if (arg == "--seed") {
             req.config.seed = cli::parse_int_or_die<std::uint64_t>(arg, next());
         } else if (arg == "--save-graph") {
@@ -172,10 +157,6 @@ int main(int argc, char** argv) {
             req.partition = true;
         } else if (arg == "--component-workers") {
             req.component_workers = cli::parse_int_or_die<std::uint32_t>(arg, next());
-        } else if (arg == "--processes") {
-            req.processes = cli::parse_int_or_die<std::uint32_t>(arg, next());
-            req.executor = "process";
-            processes_set = true;
         } else if (arg == "--per-component-out") {
             req.per_component_dir = next();
         } else if (arg == "--multilevel") {
@@ -204,12 +185,6 @@ int main(int argc, char** argv) {
             timing = true;
         } else if (arg == "--trace") {
             trace_path = next();
-        } else if (arg == "--component-worker") {
-            req.component_worker = true;
-        } else if (arg == "--worker-spec") {
-            req.worker_spec = next();
-        } else if (arg == "--status-fd") {
-            req.status_fd = cli::parse_int_or_die<int>(arg, next());
         } else if (arg == "-h" || arg == "--help") {
             usage(argv[0]);
             return 0;
@@ -228,18 +203,6 @@ int main(int argc, char** argv) {
         req.force_pgg = true;
     }
     req.graph_path = in_path;
-    if (req.component_worker) {
-        // The internal mode the process executor spawns: one component in,
-        // one .lay out, status frames on --status-fd. All other flags are
-        // carried by --worker-spec.
-        if (req.graph_path.empty() || req.out_path.empty() ||
-            req.worker_spec.empty()) {
-            std::cerr << "--component-worker requires --load-graph, -o and "
-                         "--worker-spec\n";
-            return 2;
-        }
-        return driver::run_layout(req).worker_exit_code;
-    }
     const bool convert_only = !req.save_graph_path.empty() && req.out_path.empty();
     if (req.graph_path.empty() || (req.out_path.empty() && !convert_only)) {
         std::cerr << "both -i (or --load-graph) and -o are required\n";
@@ -254,14 +217,6 @@ int main(int argc, char** argv) {
         std::cerr << "--component-workers requires --partition\n";
         return 2;
     }
-    if (processes_set && !req.partition) {
-        std::cerr << "--processes requires --partition\n";
-        return 2;
-    }
-    if (processes_set && req.processes == 0) {
-        std::cerr << "--processes requires N >= 1\n";
-        return 2;
-    }
     if (req.ml.refine_iters != 0 && !req.multilevel) {
         std::cerr << "--refine-iters requires --multilevel\n";
         return 2;
@@ -271,12 +226,6 @@ int main(int argc, char** argv) {
         return 2;
     }
     if (req.backend.empty()) req.backend = "cpu-soa";
-    try {
-        core::parse_numa_policy(req.config.numa);
-    } catch (const std::exception& e) {
-        std::cerr << "--numa: " << e.what() << "\n";
-        return 2;
-    }
     if (!core::KernelRegistry::instance().contains(req.config.kernel)) {
         std::cerr << "unknown update kernel \"" << req.config.kernel
                   << "\"; available:";
@@ -335,9 +284,8 @@ int main(int argc, char** argv) {
             // One stage per line, machine-parseable ("timing: <stage> <s> s"),
             // all read from the telemetry span histograms so every run mode —
             // flat, --partition, --multilevel, or combinations — reports
-            // through the same path. Stage sums aggregate across components
-            // (and, with --processes, across merged worker snapshots), so
-            // they can exceed wall-clock with concurrency > 1. A stage
+            // through the same path. Stage sums aggregate across components,
+            // so they can exceed wall-clock with concurrency > 1. A stage
             // that never opened a span did not run and prints no line.
             auto& reg = telemetry::Registry::instance();
             for (const char* stage :

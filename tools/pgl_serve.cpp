@@ -58,9 +58,7 @@ void usage(const char* argv0) {
         << "  submit    submit a layout job\n"
         << "    --socket PATH --graph FILE [--backend NAME] [--kernel NAME]\n"
         << "    [--iters N] [--factor F] [--threads N] [--seed N]\n"
-        << "    [--pin] [--numa off|auto|interleave|node:K]\n"
         << "    [--partition] [--component-workers N]\n"
-        << "    [--executor thread|process] [--processes N]\n"
         << "    [--multilevel[=LEVELS]] [--refine-iters N] [--exact-tail]\n"
         << "    [--wait] [-o OUT.lay]\n"
         << "  status    --socket PATH --id N\n"
@@ -167,10 +165,6 @@ int cmd_submit(int argc, char** argv) {
         } else if (arg == "--threads") {
             config["threads"] =
                 JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-        } else if (arg == "--pin") {
-            config["pin"] = JsonValue(true);
-        } else if (arg == "--numa") {
-            config["numa"] = JsonValue(std::string(next()));
         } else if (arg == "--seed") {
             config["seed"] =
                 JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
@@ -179,12 +173,6 @@ int cmd_submit(int argc, char** argv) {
         } else if (arg == "--component-workers") {
             config["component_workers"] =
                 JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-        } else if (arg == "--executor") {
-            config["executor"] = JsonValue(std::string(next()));
-        } else if (arg == "--processes") {
-            config["processes"] =
-                JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
-            config["executor"] = JsonValue(std::string("process"));
         } else if (arg == "--multilevel") {
             config["multilevel"] = JsonValue(std::uint64_t{1});
         } else if (arg.rfind("--multilevel=", 0) == 0) {
