@@ -1,6 +1,6 @@
 #include "bench_common.hpp"
 
-#include "core/kernels/update_kernel.hpp"
+#include "serve/json.hpp"
 
 #include <cstdio>
 #include <cstdlib>
@@ -45,30 +45,16 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
                 std::cerr << "\n";
                 std::exit(2);
             }
-        } else if (arg == "--kernel") {
-            o.kernel = next();
-            if (!core::KernelRegistry::instance().contains(o.kernel)) {
-                std::cerr << "unknown kernel " << o.kernel << "; available:";
-                for (const auto& n : core::KernelRegistry::instance().names()) {
-                    std::cerr << " " << n;
-                }
-                std::cerr << "\n";
-                std::exit(2);
-            }
         } else if (arg == "--json") {
             o.json_path = next();
         } else if (arg == "--input") {
             o.input_path = next();
         } else if (arg == "--help" || arg == "-h") {
             std::cout << "options: --scale F --iters N --factor F --threads N"
-                         " --seed N --quick --backend NAME --kernel NAME"
+                         " --seed N --quick --backend NAME"
                          " --json FILE --input FILE\n";
             std::cout << "backends:";
             for (const auto& n : core::EngineRegistry::instance().names()) {
-                std::cout << " " << n;
-            }
-            std::cout << "\nkernels:";
-            for (const auto& n : core::KernelRegistry::instance().names()) {
                 std::cout << " " << n;
             }
             std::cout << "\n";
@@ -92,7 +78,6 @@ core::LayoutConfig BenchOptions::layout_config() const {
     cfg.steps_per_iter_factor = factor;
     cfg.threads = threads;
     cfg.seed = seed;
-    cfg.kernel = kernel;
     return cfg;
 }
 
@@ -122,34 +107,6 @@ BenchRecord make_record(const BenchOptions& opt, std::string bench,
     return rec;
 }
 
-namespace {
-
-/// Minimal JSON string escaping — record fields are plain identifiers, but
-/// a hand-written path or label must not corrupt the file.
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-}  // namespace
-
 void JsonReporter::add(BenchRecord record) {
     if (!enabled()) return;
     records_.push_back(std::move(record));
@@ -166,30 +123,29 @@ void JsonReporter::write() {
     os << "[\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {
         const BenchRecord& r = records_[i];
-        os << "  {\"bench\": \"" << json_escape(r.bench) << "\", \"backend\": \""
-           << json_escape(r.backend) << "\", \"scale\": " << r.scale
+        os << "  {\"bench\": " << serve::json_quote(r.bench)
+           << ", \"backend\": " << serve::json_quote(r.backend)
+           << ", \"scale\": " << r.scale
            << ", \"iters\": " << r.iters << ", \"threads\": " << r.threads
            << ", \"seconds\": " << r.seconds
            << ", \"updates_per_sec\": " << r.updates_per_sec;
         if (!r.direction.empty()) {
-            os << ", \"value\": " << r.value << ", \"direction\": \""
-               << json_escape(r.direction) << "\"";
+            os << ", \"value\": " << r.value
+               << ", \"direction\": " << serve::json_quote(r.direction);
         }
         if (!r.stages.empty()) {
             os << ", \"stages\": {";
             for (std::size_t s = 0; s < r.stages.size(); ++s) {
-                os << "\"" << json_escape(r.stages[s].first)
-                   << "\": " << r.stages[s].second
-                   << (s + 1 < r.stages.size() ? ", " : "");
+                os << serve::json_quote(r.stages[s].first) << ": "
+                   << r.stages[s].second << (s + 1 < r.stages.size() ? ", " : "");
             }
             os << "}";
         }
         if (!r.telemetry.empty()) {
             os << ", \"telemetry\": {";
             for (std::size_t s = 0; s < r.telemetry.size(); ++s) {
-                os << "\"" << json_escape(r.telemetry[s].first)
-                   << "\": " << r.telemetry[s].second
-                   << (s + 1 < r.telemetry.size() ? ", " : "");
+                os << serve::json_quote(r.telemetry[s].first) << ": "
+                   << r.telemetry[s].second << (s + 1 < r.telemetry.size() ? ", " : "");
             }
             os << "}";
         }

@@ -1,6 +1,8 @@
-// bench_kernels — apply-side microbenchmark of the pluggable update-kernel
-// layer: every registered kernel drains identical TermBatches into an
-// XYStore, swept across batch sizes and conflict densities.
+// bench_kernels — apply-side microbenchmark: the apply_term_slots reference
+// loop ("scalar") and core::apply_batch ("simd", at the detected lane
+// width) drain identical TermBatches into an XYStore, swept across batch
+// sizes and conflict densities. Narrower lane widths this CPU also
+// supports are timed through apply_batch_with as table-only rows.
 //
 //   ./bench_kernels [--scale F] [--seed N] [--quick] [--json FILE]
 //
@@ -9,13 +11,14 @@
 //                 conflict rate the engines actually see (near zero on any
 //                 non-toy graph), i.e. the vectorized fast path;
 //   * conflict  — node ids drawn from a tiny window, so nearly every lane
-//                 group contains duplicate endpoints and the SIMD kernel's
+//                 group contains duplicate endpoints and apply_batch's
 //                 chained fallback dominates (its worst case).
 //
-// With --json a record per (kernel, population, batch size) is written for
-// the CI perf gate; the "backend" field is "<kernel>-<population>-b<size>".
+// With --json a record per (scalar|simd, population, batch size) is written
+// for the CI perf gate; the "backend" field is "<name>-<population>-b<size>".
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <string>
@@ -23,7 +26,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/kernels/update_kernel.hpp"
+#include "core/apply_batch.hpp"
 #include "core/sampling.hpp"
 #include "core/term_batch.hpp"
 #include "rng/xoshiro256.hpp"
@@ -56,7 +59,7 @@ TermBatch make_conflict_batch(std::size_t n, std::uint32_t window,
 }
 
 /// Fraction of 4-slot groups with a coordinate shared by two different
-/// valid slots (the group width of the widest built-in SIMD path).
+/// valid slots (the group width of the widest SIMD path).
 double conflict_group_fraction(const TermBatch& b) {
     std::size_t groups = 0, conflicted = 0;
     for (std::size_t base = 0; base + 4 <= b.size(); base += 4) {
@@ -83,7 +86,7 @@ double conflict_group_fraction(const TermBatch& b) {
 int main(int argc, char** argv) {
     auto opt = bench::BenchOptions::parse(argc, argv);
 
-    std::cout << "== Update-kernel apply throughput (scalar vs simd) ==\n";
+    std::cout << "== Batch apply throughput (apply_term_slots vs apply_batch) ==\n";
     const auto g = bench::build_lean(workloads::mhc_spec(opt.scale * 10));
     core::LayoutConfig cfg = opt.layout_config();
 
@@ -101,16 +104,42 @@ int main(int argc, char** argv) {
     const std::uint64_t target_terms = opt.quick ? 2'000'000 : 8'000'000;
     const std::uint32_t window = static_cast<std::uint32_t>(
         std::min<std::size_t>(48, std::max<std::size_t>(2, g.node_count())));
-    const auto kernels = core::KernelRegistry::instance().names();
+    // Timed rows per cell: the reference loop, apply_batch at the detected
+    // width, then every narrower width this CPU supports (table only).
+    struct Row {
+        std::string name;
+        std::string variant;
+        bool record;
+        std::function<void(const TermBatch&, double, XYStore&)> apply;
+    };
+    const core::KernelIsa detected = core::detected_kernel_isa();
+    std::vector<Row> rows = {
+        {"scalar", "apply_term_slots", true,
+         [](const TermBatch& b, double eta, XYStore& s) {
+             core::apply_term_slots(b, 0, b.size(), eta, s.x(), s.y());
+         }},
+        {"simd", core::kernel_isa_name(detected), true,
+         [](const TermBatch& b, double eta, XYStore& s) {
+             core::apply_batch(b, eta, s);
+         }},
+    };
+    for (const core::KernelIsa isa :
+         {core::KernelIsa::kSse2, core::KernelIsa::kScalarFallback}) {
+        if (isa >= detected) continue;
+        rows.push_back({"simd", core::kernel_isa_name(isa), false,
+                        [isa](const TermBatch& b, double eta, XYStore& s) {
+                            core::apply_batch_with(isa, b, eta, s);
+                        }});
+    }
 
     bench::TablePrinter table(
-        {"Kernel", "Variant", "Terms", "Batch", "Conf4", "Mupd/s", "vs scalar"},
+        {"Apply", "Variant", "Terms", "Batch", "Conf4", "Mupd/s", "vs scalar"},
         {9, 17, 10, 8, 8, 10, 10});
     table.print_header(std::cout);
 
     bench::JsonReporter json(opt.json_path);
-    // (kernel, population, batch) -> updates/sec; scalar rows feed the
-    // ratio column and the end-of-run simd summary.
+    // (name, population, batch) -> updates/sec of the recorded rows; scalar
+    // rows feed the ratio column and the end-of-run simd summary.
     std::map<std::tuple<std::string, std::string, std::size_t>, double> rate;
     const auto scalar_base = [&](const std::string& population,
                                  std::size_t n) {
@@ -132,13 +161,12 @@ int main(int argc, char** argv) {
                 1, target_terms / std::max<std::uint64_t>(1, valid_terms));
             const double conf4 = conflict_group_fraction(batch);
 
-            for (const auto& name : kernels) {
-                const auto kern = core::make_update_kernel(name);
+            for (const Row& row : rows) {
                 XYStore store(initial);
-                kern->apply(batch, cfg.eps, store);  // warm caches and pages
+                row.apply(batch, cfg.eps, store);  // warm caches and pages
                 const auto t0 = std::chrono::steady_clock::now();
                 for (std::uint64_t r = 0; r < reps; ++r) {
-                    kern->apply(batch, cfg.eps, store);
+                    row.apply(batch, cfg.eps, store);
                 }
                 const double seconds =
                     std::chrono::duration<double>(
@@ -148,21 +176,22 @@ int main(int argc, char** argv) {
                     seconds > 0.0 ? static_cast<double>(valid_terms * reps) /
                                         seconds
                                   : 0.0;
-                rate[{name, population, n}] = ups;
+                if (row.record) rate[{row.name, population, n}] = ups;
                 const double base = scalar_base(population, n);
                 table.print_row(
                     std::cout,
-                    {name, std::string(kern->variant()), population,
+                    {row.name, row.variant, population,
                      std::to_string(n), bench::fmt(100.0 * conf4, 1) + "%",
                      bench::fmt(ups / 1e6, 2),
                      base > 0.0 ? bench::fmt(ups / base, 2) + "x" : "-"});
 
+                if (!row.record) continue;
                 core::LayoutResult r;
                 r.seconds = seconds;
                 r.updates = valid_terms * reps;
                 json.add(bench::make_record(
                     opt, "bench_kernels",
-                    name + "-" + population + "-b" + std::to_string(n), r));
+                    row.name + "-" + population + "-b" + std::to_string(n), r));
             }
         }
     }
@@ -178,7 +207,7 @@ int main(int argc, char** argv) {
         }
     }
     std::cout << "\nnote: \"Conf4\" is the fraction of 4-slot lane groups "
-                 "containing a cross-slot\nduplicate endpoint (the SIMD "
-                 "kernel's chained-fallback trigger)\n";
+                 "containing a cross-slot\nduplicate endpoint (apply_batch's "
+                 "chained-fallback trigger)\n";
     return 0;
 }

@@ -1,13 +1,13 @@
-// The "simd" update kernel: the batch apply split into (a) a vectorized
-// compute-deltas pass over the TermBatch SoA columns — d_ref and nudge are
-// loaded directly as double lanes, coordinates are gathered and widened to
-// double — and (b) an in-order scatter pass. Lane groups (4 terms under
-// AVX2, 2 under SSE2, chosen by CPUID at construction so one portable
-// binary runs everywhere) are checked for cross-slot coordinate conflicts
-// first: a group in which two *different* slots touch the same endpoint
-// falls back to the chained scalar loop, so the "later terms see earlier
-// updates" contract holds exactly and the kernel stays byte-identical to
-// "scalar".
+// apply_batch (apply_batch.hpp): the batch apply split into (a) a
+// vectorized compute-deltas pass over the TermBatch SoA columns — d_ref and
+// nudge are loaded directly as double lanes, coordinates are gathered and
+// widened to double — and (b) an in-order scatter pass. Lane groups (4
+// terms under AVX2, 2 under SSE2, chosen by CPUID once per process so one
+// portable binary runs everywhere) are checked for cross-slot coordinate
+// conflicts first: a group in which two *different* slots touch the same
+// endpoint falls back to the chained apply_term_slots loop, so the "later
+// terms see earlier updates" contract holds exactly and every lane width
+// is byte-identical to apply_term_slots.
 //
 // Byte-identity rests on IEEE semantics: vaddpd/vsubpd/vmulpd/vdivpd/
 // vsqrtpd and the double<->float conversions are correctly rounded, so as
@@ -17,7 +17,7 @@
 // (/ 2.0 is evaluated as * 0.5: both are exact exponent shifts and agree
 // for every input, including subnormals.) The PGL_NATIVE build option
 // pairs -march=x86-64-v3 with -ffp-contract=off for the same reason: the
-// compiler must not contract the *scalar* kernel's mul+add into an FMA the
+// compiler must not contract apply_term_slots' mul+add into an FMA the
 // intrinsics here don't perform.
 //
 // Within a conflict-free group the scatter may write all i endpoints, then
@@ -37,11 +37,13 @@
 // the scatter pass never writes them back. For conflict detection a hole
 // gets a per-lane sentinel index pair no real term can produce, so the
 // branchless pairwise compare never reports a hole as a conflict.
-#include "core/kernels/update_kernel.hpp"
+#include "core/apply_batch.hpp"
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "telemetry/telemetry.hpp"
 
@@ -59,6 +61,13 @@ namespace {
 struct GroupTally {
     std::uint64_t vector_groups = 0;    ///< groups applied via SIMD lanes
     std::uint64_t fallback_groups = 0;  ///< conflict/tail groups via scalar
+};
+
+/// The `kernel.simd.*` registry counters the tallies are flushed to.
+struct GroupCounters {
+    telemetry::Counter vector_groups;
+    telemetry::Counter fallback_groups;
+    telemetry::Counter terms;
 };
 
 #if defined(__x86_64__)
@@ -365,69 +374,69 @@ void apply_sse2(const TermBatch& b, double eta, float* x, float* y,
 
 #endif  // defined(__x86_64__)
 
-enum class Isa : std::uint8_t { kScalarFallback, kSse2, kAvx2 };
+}  // namespace
 
-Isa detect_isa() noexcept {
+KernelIsa detected_kernel_isa() noexcept {
 #if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-    return Isa::kSse2;  // baseline on x86-64
+    static const KernelIsa isa = [] {
+        __builtin_cpu_init();  // safe even if first called before main()
+        return __builtin_cpu_supports("avx2")
+                   ? KernelIsa::kAvx2
+                   : KernelIsa::kSse2;  // the x86-64 baseline
+    }();
+    return isa;
 #else
-    return Isa::kScalarFallback;
+    return KernelIsa::kScalarFallback;
 #endif
 }
 
-class SimdKernel final : public UpdateKernel {
-public:
-    SimdKernel()
-        : isa_(detect_isa()),
-          vector_groups_(telemetry::Registry::instance().counter(
-              "kernel.simd.vector_groups")),
-          fallback_groups_(telemetry::Registry::instance().counter(
-              "kernel.simd.scalar_fallback_groups")),
-          terms_(telemetry::Registry::instance().counter(
-              "kernel.simd.terms")) {}
+bool kernel_isa_supported(KernelIsa isa) noexcept {
+    return isa <= detected_kernel_isa();
+}
 
-    std::string_view name() const noexcept override { return "simd"; }
-
-    std::string_view variant() const noexcept override {
-        switch (isa_) {
-            case Isa::kAvx2: return "avx2";
-            case Isa::kSse2: return "sse2";
-            default: return "scalar-fallback";
-        }
+const char* kernel_isa_name(KernelIsa isa) noexcept {
+    switch (isa) {
+        case KernelIsa::kAvx2: return "avx2";
+        case KernelIsa::kSse2: return "sse2";
+        default: return "scalar-fallback";
     }
+}
 
-    void apply(const TermBatch& b, double eta, XYStore& store) const override {
-        GroupTally tally;
+void apply_batch_with(KernelIsa isa, const TermBatch& b, double eta,
+                      XYStore& store) {
+    if (!kernel_isa_supported(isa)) {
+        throw std::invalid_argument(std::string("apply_batch_with: ") +
+                                    kernel_isa_name(isa) +
+                                    " is not supported by this CPU");
+    }
+    GroupTally tally;
+    switch (isa) {
 #if defined(__x86_64__)
-        if (isa_ == Isa::kAvx2) {
+        case KernelIsa::kAvx2:
             apply_avx2(b, eta, store.x(), store.y(), tally);
-        } else if (isa_ == Isa::kSse2) {
+            break;
+        case KernelIsa::kSse2:
             apply_sse2(b, eta, store.x(), store.y(), tally);
-        } else {
+            break;
+#endif
+        default:
             ++tally.fallback_groups;
             apply_term_slots(b, 0, b.size(), eta, store.x(), store.y());
-        }
-#else
-        ++tally.fallback_groups;
-        apply_term_slots(b, 0, b.size(), eta, store.x(), store.y());
-#endif
-        if (tally.vector_groups) vector_groups_.add(tally.vector_groups);
-        if (tally.fallback_groups) fallback_groups_.add(tally.fallback_groups);
-        terms_.add(b.size());
     }
+    // Resolved once: a registry lookup takes a mutex.
+    static const GroupCounters counters = [] {
+        auto& reg = telemetry::Registry::instance();
+        return GroupCounters{reg.counter("kernel.simd.vector_groups"),
+                             reg.counter("kernel.simd.scalar_fallback_groups"),
+                             reg.counter("kernel.simd.terms")};
+    }();
+    if (tally.vector_groups) counters.vector_groups.add(tally.vector_groups);
+    if (tally.fallback_groups) counters.fallback_groups.add(tally.fallback_groups);
+    counters.terms.add(b.size());
+}
 
-private:
-    Isa isa_;
-    telemetry::Counter vector_groups_;
-    telemetry::Counter fallback_groups_;
-    telemetry::Counter terms_;
-};
-
-}  // namespace
-
-std::unique_ptr<UpdateKernel> make_simd_kernel() {
-    return std::make_unique<SimdKernel>();
+void apply_batch(const TermBatch& b, double eta, XYStore& store) {
+    apply_batch_with(detected_kernel_isa(), b, eta, store);
 }
 
 }  // namespace pgl::core

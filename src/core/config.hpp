@@ -62,12 +62,6 @@ struct LayoutConfig {
     /// Scale of the uniform y-jitter in the initial layout (x mean node len).
     double init_jitter = 1.0;
 
-    /// Update kernel (KernelRegistry name) the batch-draining engines apply
-    /// terms with: "scalar" (reference) or "simd" (vectorized,
-    /// byte-identical). Engines resolve — and validate — the name at
-    /// init().
-    std::string kernel = "scalar";
-
     /// Warm start: when set, engines begin from this layout instead of the
     /// linear initial layout (it must hold exactly node_count() segments —
     /// engines throw otherwise). Shared, never mutated: a multilevel
@@ -134,6 +128,29 @@ inline void check_config(const LayoutConfig& cfg) {
     if (!(cfg.cooling_start >= 0.0 && cfg.cooling_start <= 1.0)) {
         throw std::invalid_argument("cooling_start: must be in [0, 1], got " +
                                     show(cfg.cooling_start));
+    }
+}
+
+/// Most term updates one engine run may perform. The paper-default Chr.1
+/// run (30 iterations x factor 10, bench::full_scale_updates on
+/// workloads::chromosome_spec(1, s)) is ~1.60e11 updates; 24x that — a
+/// whole genome of Chr.1-sized chromosomes — is ~3.84e12, rounded up to
+/// the next power of two. A run past it would take days at the CPU
+/// engines' single-thread rate (~1e7 updates/s).
+inline constexpr std::uint64_t kMaxRunUpdates = std::uint64_t{1} << 42;
+
+/// Throws std::invalid_argument, naming factor and iters, when
+/// iter_max x steps_per_iteration(total_path_steps) exceeds kMaxRunUpdates.
+/// Called at engine init, where both the graph and the config are known.
+inline void check_run_size(const LayoutConfig& cfg,
+                           std::uint64_t total_path_steps) {
+    const std::uint64_t steps = cfg.steps_per_iteration(total_path_steps);
+    if (cfg.iter_max != 0 && steps > kMaxRunUpdates / cfg.iter_max) {
+        throw std::invalid_argument(
+            "factor x iters: " + std::to_string(cfg.iter_max) +
+            " iterations of " + std::to_string(steps) +
+            " updates exceed the per-run limit of " +
+            std::to_string(kMaxRunUpdates) + " updates; lower factor or iters");
     }
 }
 

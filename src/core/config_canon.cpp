@@ -27,7 +27,6 @@ std::string canonical_config(const LayoutConfig& cfg) {
     field("eta_max", canonical_double(cfg.eta_max));
     field("init_jitter", canonical_double(cfg.init_jitter));
     field("iter_max", std::to_string(cfg.iter_max));
-    field("kernel", cfg.kernel);
     field("schedule_iter_max", std::to_string(cfg.schedule_iter_max));
     field("seed", std::to_string(cfg.seed));
     field("steps_per_iter_factor", canonical_double(cfg.steps_per_iter_factor));

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <memory>
 
-#include "core/kernels/update_kernel.hpp"
 #include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
@@ -129,10 +128,6 @@ public:
 
 protected:
     void do_init() override {
-        // Resolving here also validates cfg.kernel: an unknown name throws
-        // before any work starts, on both loops (the Hogwild loop applies
-        // terms as it samples them and never drains a batch).
-        kernel_ = make_update_kernel(cfg_.kernel);
         // Hogwild: one worker per thread, none (inline on the caller) for a
         // single thread. Pipelined: always at least one producer, so even a
         // single-threaded config overlaps sampling with the consumer's
@@ -156,12 +151,11 @@ protected:
         if (loop_ == CpuLoop::kHogwild) {
             return run_hogwild(*graph_, cfg, store, hook, *pool_);
         }
-        return run_pipelined(*graph_, cfg, store, *kernel_, hook, *pool_);
+        return run_pipelined(*graph_, cfg, store, hook, *pool_);
     }
 
 private:
     CpuLoop loop_;
-    std::unique_ptr<const UpdateKernel> kernel_;
     std::unique_ptr<ThreadPool> pool_;
 };
 
@@ -173,7 +167,6 @@ std::unique_ptr<LayoutEngine> make_cpu_engine(CpuLoop loop) {
 
 LayoutResult layout_cpu_from(const graph::LeanGraph& g, const LayoutConfig& cfg,
                              const Layout& initial) {
-    make_update_kernel(cfg.kernel);  // validates cfg.kernel, as init() does
     ThreadPool pool(cfg.threads > 1 ? cfg.threads : 0);
     XYStore store(initial);
     return run_hogwild(g, cfg, store, {}, pool);

@@ -1,7 +1,6 @@
 #pragma once
 // The CPU backends (paper Sec. III): one engine class, two worker loops,
-// sharing kernel resolution, placement, the persistent pool and the
-// coordinate store.
+// sharing the persistent pool and the coordinate store.
 //
 //   * "cpu-soa" — the Hogwild loop, PG-SGD with asynchronous updates as
 //     odgi-layout runs it. Each worker owns a jumped Xoshiro256+ stream
@@ -13,13 +12,12 @@
 //     threads the result depends on scheduler interleaving.
 //   * "cpu-pipelined" — the deterministic loop (pipelined_engine.cpp):
 //     pool producers sample TermBatches ahead while the calling thread
-//     applies them in fixed shard order through the UpdateKernel named by
-//     cfg.kernel ("scalar" or the byte-identical vectorized "simd"). A fixed
+//     applies them in fixed shard order through core::apply_batch. A fixed
 //     (seed, threads) pair is byte-reproducible.
 //
 // The Hogwild loop applies each term as it samples it and never drains a
 // batch, but with one thread its bytes equal a 1-thread replay of
-// PairSampler::fill_batch + UpdateKernel::apply in kBatchSliceTerms slices
+// PairSampler::fill_batch + apply_batch in kBatchSliceTerms slices
 // (tests/test_engine.cpp keeps that replay as the oracle). The store is
 // always the SoA core::XYStore; the cache-friendly AoS organization of the
 // paper's Fig. 16 is modelled by memsim::characterize_cpu and gpusim.
@@ -34,7 +32,6 @@
 namespace pgl::core {
 
 class ThreadPool;
-class UpdateKernel;
 
 /// Which worker loop a CPU engine runs.
 enum class CpuLoop : std::uint8_t {
@@ -46,11 +43,11 @@ enum class CpuLoop : std::uint8_t {
 std::unique_ptr<LayoutEngine> make_cpu_engine(CpuLoop loop);
 
 /// The pipelined loop behind "cpu-pipelined": pool.size() >= 1 producers
-/// sample into a double buffer while the calling thread applies through
-/// `kern` (defined in pipelined_engine.cpp).
+/// sample into a double buffer while the calling thread applies them
+/// (defined in pipelined_engine.cpp).
 LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                           XYStore& store, const UpdateKernel& kern,
-                           const ProgressHook& hook, ThreadPool& pool);
+                           XYStore& store, const ProgressHook& hook,
+                           ThreadPool& pool);
 
 /// Runs the full Hogwild PG-SGD loop ("cpu-soa") on the CPU and returns the
 /// final layout. Deterministic for cfg.threads == 1 and a fixed seed.

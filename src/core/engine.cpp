@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <sstream>
@@ -25,6 +26,7 @@ LayoutResult LayoutEngine::run(std::uint32_t iterations) {
         // otherwise the eta decay would compress into the override.
         if (cfg.schedule_iter_max == 0) cfg.schedule_iter_max = cfg_.schedule_length();
         cfg.iter_max = iterations;
+        check_run_size(cfg, graph_->total_path_steps());
     }
 
     const std::string backend{name()};
@@ -77,24 +79,47 @@ LayoutResult LayoutEngine::run(std::uint32_t iterations) {
     return result;
 }
 
-EngineRegistry& EngineRegistry::instance() {
-    static EngineRegistry registry = [] {
-        EngineRegistry r;
-        r.add("cpu-soa", [] { return make_cpu_engine(CpuLoop::kHogwild); });
-        r.add("cpu-pipelined",
-              [] { return make_cpu_engine(CpuLoop::kPipelined); });
-        r.add("gpusim-base", [] {
-            return gpusim::make_gpusim_engine(gpusim::KernelConfig::base(),
-                                              gpusim::rtx_a6000());
-        });
-        r.add("gpusim-optimized", [] {
-            return gpusim::make_gpusim_engine(gpusim::KernelConfig::optimized(),
-                                              gpusim::rtx_a6000());
-        });
-        r.add("torch", [] { return tensor::make_torch_engine(); });
-        return r;
-    }();
+EngineRegistry::EngineRegistry()
+    : factories_{
+          {"cpu-soa", [] { return make_cpu_engine(CpuLoop::kHogwild); }},
+          {"cpu-pipelined",
+           [] { return make_cpu_engine(CpuLoop::kPipelined); }},
+          {"gpusim-base",
+           [] {
+               return gpusim::make_gpusim_engine(gpusim::KernelConfig::base(),
+                                                 gpusim::rtx_a6000());
+           }},
+          {"gpusim-optimized",
+           [] {
+               return gpusim::make_gpusim_engine(
+                   gpusim::KernelConfig::optimized(), gpusim::rtx_a6000());
+           }},
+          {"torch", [] { return tensor::make_torch_engine(); }},
+      } {}
+
+const EngineRegistry& EngineRegistry::instance() {
+    static const EngineRegistry registry;
     return registry;
+}
+
+bool EngineRegistry::contains(const std::string& name) const {
+    return std::any_of(factories_.begin(), factories_.end(),
+                       [&](const auto& e) { return e.first == name; });
+}
+
+std::unique_ptr<LayoutEngine> EngineRegistry::create(
+    const std::string& name) const {
+    for (const auto& [key, factory] : factories_) {
+        if (key == name) return factory();
+    }
+    return nullptr;
+}
+
+std::vector<std::string> EngineRegistry::names() const {
+    std::vector<std::string> out;
+    for (const auto& [key, factory] : factories_) out.push_back(key);
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 std::string unknown_engine_message(const std::string& name) {

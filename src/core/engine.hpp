@@ -22,11 +22,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/layout.hpp"
-#include "core/registry.hpp"
 #include "graph/lean_graph.hpp"
 
 namespace pgl::core {
@@ -97,9 +97,11 @@ public:
 
     /// Binds the engine to a graph and configuration. Must be called before
     /// run(); may be called again to re-target the engine. Throws
-    /// std::invalid_argument when check_config rejects `cfg`.
+    /// std::invalid_argument when check_config rejects `cfg` or the run
+    /// would exceed kMaxRunUpdates (check_run_size).
     void init(const graph::LeanGraph& g, const LayoutConfig& cfg) {
         check_config(cfg);
+        check_run_size(cfg, g.total_path_steps());
         graph_ = &g;
         cfg_ = cfg;
         do_init();
@@ -107,8 +109,8 @@ public:
 
     /// Executes the schedule and returns the final layout. `iterations`
     /// overrides cfg.iter_max when nonzero (a truncated run of the same
-    /// annealing schedule). Throws std::logic_error if init() was not
-    /// called.
+    /// annealing schedule, also held to check_run_size). Throws
+    /// std::logic_error if init() was not called.
     LayoutResult run(std::uint32_t iterations = 0);
 
     void set_progress_hook(ProgressHook hook) { hook_ = std::move(hook); }
@@ -129,18 +131,25 @@ private:
     ProgressHook hook_;
 };
 
-/// String-keyed factory registry of layout engines (the shared
-/// FactoryRegistry behaviour: add-or-replace, contains, create, sorted
-/// names). The built-in backends are registered on first use; additional
-/// engines (future: real CUDA, sharded, async) can be registered at
-/// startup by name.
-class EngineRegistry : public FactoryRegistry<LayoutEngine> {
+/// String-keyed factory table of the built-in layout engines.
+class EngineRegistry {
 public:
-    /// The process-wide registry, with all built-in engines registered.
-    static EngineRegistry& instance();
+    using Factory = std::unique_ptr<LayoutEngine> (*)();
+
+    /// The process-wide registry.
+    static const EngineRegistry& instance();
+
+    bool contains(const std::string& name) const;
+
+    /// Creates a fresh engine, or nullptr for an unknown name.
+    std::unique_ptr<LayoutEngine> create(const std::string& name) const;
+
+    /// All registered names, sorted.
+    std::vector<std::string> names() const;
 
 private:
-    EngineRegistry() = default;
+    EngineRegistry();
+    std::vector<std::pair<std::string, Factory>> factories_;
 };
 
 /// "unknown layout engine "NAME"; available: ..." — the one rejection

@@ -6,7 +6,7 @@
 // All engines share one concrete coordinate store, XYStore: the paper's
 // original ODGI organization (Fig. 9a) — a flat X array and a flat Y array,
 // element 2*node + end — exposed as raw contiguous float arrays so the
-// update kernels (core/kernels/) vectorize over them directly, with
+// batch apply (core/apply_batch.hpp) vectorizes over them directly, with
 // relaxed-atomic accessors on top for the Hogwild engines' intentionally
 // unsynchronized per-term updates. The cache-friendly AoS organization
 // (CDL, Fig. 9b; one packed NodeRecord per node) survives as a *modeled*
@@ -92,7 +92,7 @@ inline Layout make_initial_layout(const graph::LeanGraph& g,
 /// [sx0, ex0, sx1, ex1, ...], same for Y; index(node, end) = 2*node + end.
 ///
 /// Two access styles, by construction compatible:
-///   * x()/y() — the raw contiguous arrays the update kernels (and any
+///   * x()/y() — the raw contiguous arrays core::apply_batch (and any
 ///     single-writer batch consumer) read and write with plain loads and
 ///     stores;
 ///   * load_/store_ accessors — relaxed std::atomic_ref views of the same

@@ -11,8 +11,7 @@
 //       workers) and fills its shard's TermBatch for slice N+1 via the
 //       staged, prefetching PairSampler::fill_batch_staged;
 //   consumer (the calling thread)
-//       applies slice N's batches through the configured UpdateKernel
-//       (cfg.kernel: "scalar" or the byte-identical "simd"), in fixed
+//       applies slice N's batches through core::apply_batch, in fixed
 //       shard order, while the producers sample ahead.
 //
 // Double buffering means neither side ever waits on a batch the other is
@@ -27,7 +26,7 @@
 #include <vector>
 
 #include "core/cpu_engine.hpp"
-#include "core/kernels/update_kernel.hpp"
+#include "core/apply_batch.hpp"
 #include "core/schedule.hpp"
 #include "core/term_batch.hpp"
 #include "core/thread_pool.hpp"
@@ -56,8 +55,8 @@ struct alignas(64) ShardCounter {
 }  // namespace
 
 LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
-                           XYStore& store, const UpdateKernel& kern,
-                           const ProgressHook& hook, ThreadPool& pool) {
+                           XYStore& store, const ProgressHook& hook,
+                           ThreadPool& pool) {
     LayoutResult result;
     result.eta_schedule = make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
@@ -136,7 +135,7 @@ LayoutResult run_pipelined(const graph::LeanGraph& g, const LayoutConfig& cfg,
             const bool more = s + 1 < n_slices;
             if (more) pool.launch(fill_job(1 - cur, s + 1));
             for (std::uint32_t tid = 0; tid < n_shards; ++tid) {
-                kern.apply(bufs[cur][tid], eta, store);
+                apply_batch(bufs[cur][tid], eta, store);
             }
             if (more) pool.wait();
             cur = 1 - cur;

@@ -17,7 +17,7 @@ struct PointDelta {
 /// Draws the small nonzero coincident-point separation passed to
 /// sgd_term_update. One definition for every consumer (Hogwild CPU loop,
 /// PairSampler::fill_batch, GPU simulator): the 1-thread cpu-soa run is
-/// bit-identical to a 1-thread fill_batch + UpdateKernel::apply replay (the
+/// bit-identical to a 1-thread fill_batch + apply_batch replay (the
 /// oracle in tests/test_engine.cpp) only if all of them consume the PRNG
 /// identically.
 template <typename Rng>

@@ -96,7 +96,7 @@ struct TermBatch {
         took_cooling.push_back(t.took_cooling ? 1 : 0);
     }
 
-    /// Pre-sizes exactly the columns the update kernel reads and empties
+    /// Pre-sizes exactly the columns core::apply_batch reads and empties
     /// the replay columns — the shape fill_batch_staged writes by index.
     /// Reuses capacity, so a double-buffered pipeline allocates only on its
     /// first slice. Every slot's validity must subsequently be set exactly

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <vector>
 
-#include "core/kernels/update_kernel.hpp"
+#include "core/apply_batch.hpp"
 #include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/step_math.hpp"
@@ -146,9 +146,6 @@ GpuSimResult simulate_gpu_layout(const graph::LeanGraph& g,
     // warm-start override).
     const core::Layout initial = core::make_initial_layout(g, cfg);
     core::XYStore store(initial);  // functional storage (organization-agnostic)
-    // The warp's per-step batch drains through the same pluggable update
-    // kernel as the CPU backends (cfg.kernel; validated here).
-    const auto update_kernel = core::make_update_kernel(cfg.kernel);
 
     GpuMemory mem(spec, opt.cache_scale);
 
@@ -210,14 +207,15 @@ GpuSimResult simulate_gpu_layout(const graph::LeanGraph& g,
                 cooling_lanes += t.took_cooling ? 1 : 0;
                 if (!t.valid) ++c.skipped_terms;
                 // The slot's nudge is predrawn from the lane RNG just
-                // before the batch drains through the update kernel (one
-                // per functional update, like the real kernel).
+                // before the batch is applied (one per functional update,
+                // like the real kernel).
                 batch.append(t, 0.0);
             }
 
             // --- Functional updates (DRF extra updates reuse warp data) ---
             // The first round is exactly "apply the warp's batch in lane
-            // order", so it drains through the pluggable update kernel.
+            // order", so it drains through core::apply_batch, like the CPU
+            // backends.
             // Nudges are predrawn per lane — each lane owns its XORWOW
             // stream, so drawing them before the applies advances every
             // stream exactly as the per-lane update loop did.
@@ -226,7 +224,7 @@ GpuSimResult simulate_gpu_layout(const graph::LeanGraph& g,
                 rng::XorwowRng rng(states[std::uint64_t(warp) * warp_size + l]);
                 batch.nudge[l] = core::draw_nudge(rng);
             }
-            update_kernel->apply(batch, eta, store);
+            core::apply_batch(batch, eta, store);
             c.lane_updates += warp_size - batch.invalid_count();
             for (std::uint32_t r = 1; r < drf; ++r) {
                 for (std::uint32_t l = 0; l < warp_size; ++l) {
@@ -456,12 +454,6 @@ public:
     std::string_view name() const noexcept override { return name_; }
 
 protected:
-    void do_init() override {
-        // Reject an unknown cfg.kernel at init(), like every other engine;
-        // simulate_gpu_layout re-resolves the (stateless) kernel per run.
-        core::make_update_kernel(cfg_.kernel);
-    }
-
     core::LayoutResult do_run(const core::LayoutConfig& cfg) override {
         SimOptions opt = opt_;
         if (has_progress_hook()) {

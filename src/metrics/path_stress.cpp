@@ -35,7 +35,7 @@ struct Accum {
 };
 
 /// Flat read-only view of a layout in the XYStore organization — the same
-/// x[2*node + end] indexing the update kernels write, so metrics read
+/// x[2*node + end] indexing core::apply_batch writes, so metrics read
 /// coordinates exactly the way the engines produced them.
 struct FlatCoords {
     explicit FlatCoords(const Layout& l) : store(l), x(store.x()), y(store.y()) {}

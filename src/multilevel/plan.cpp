@@ -168,7 +168,8 @@ std::string describe(const LayoutPlan& plan) {
                 out += " L" + std::to_string(p.level) + " x" +
                        std::to_string(p.iter_max);
                 if (p.schedule_iters != 0 && p.schedule_iters != p.iter_max) {
-                    out += "/" + std::to_string(p.schedule_iters);
+                    out += '/';  // not "/" + ...: GCC 12 -Wrestrict
+                    out += std::to_string(p.schedule_iters);
                 }
                 break;
         }

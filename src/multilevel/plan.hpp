@@ -166,7 +166,7 @@ struct MultilevelResult {
 /// Validates and executes `plan` on `fine` with `engine` (re-init'ed per
 /// engine pass; it must outlive the call but carries no state across it —
 /// the final pass rebinds it to `fine`). `cfg` supplies everything a pass
-/// does not override (seed, threads, kernel, eps, sampler knobs). A graph
+/// does not override (seed, threads, eps, sampler knobs). A graph
 /// with no path steps short-circuits to the linear initial layout, as the
 /// partition scheduler does.
 MultilevelResult run_plan(const LayoutPlan& plan, const graph::LeanGraph& fine,

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/kernels/update_kernel.hpp"
 #include "core/thread_pool.hpp"
 #include "rng/splitmix64.hpp"
 #include "telemetry/telemetry.hpp"
@@ -24,9 +23,10 @@ core::LayoutResult run_component(const ComponentSubgraph& component,
                                  const SchedulerOptions& opt) {
     // The component span carries the id in its category, so a trace shows
     // one "component" span per component on whichever worker track ran it,
-    // with the engine/multilevel pass spans nested inside.
-    telemetry::StageSpan span("component",
-                              "c" + std::to_string(component_id));
+    // with the engine/multilevel pass spans nested inside. (append, not
+    // "c" + std::to_string(...): GCC 12 warns -Wrestrict on the latter.)
+    telemetry::StageSpan span(
+        "component", std::string("c").append(std::to_string(component_id)));
     const graph::LeanGraph& g = component.graph;
     core::LayoutConfig cfg = opt.config;
     cfg.seed = component_seed(opt.config.seed, component_id);
@@ -55,11 +55,6 @@ std::vector<core::LayoutResult> ComponentScheduler::run(
     const Decomposition& d) const {
     if (!core::EngineRegistry::instance().contains(opt_.backend)) {
         throw std::invalid_argument(core::unknown_engine_message(opt_.backend));
-    }
-    // Fail before any component runs, not from inside a worker thread.
-    if (!core::KernelRegistry::instance().contains(opt_.config.kernel)) {
-        throw std::invalid_argument("unknown update kernel: " +
-                                    opt_.config.kernel);
     }
     const std::uint32_t n = d.count();
     std::vector<core::LayoutResult> results(n);

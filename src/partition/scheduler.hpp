@@ -76,7 +76,7 @@ core::LayoutResult run_component(const ComponentSubgraph& component,
                                  std::uint32_t component_id,
                                  const SchedulerOptions& opt);
 
-/// Validates the backend and kernel names up front, counts the components
+/// Validates the backend name up front, counts the components
 /// into telemetry, then runs run_component over the largest-first queue on
 /// a pool of min(workers, components) threads (inline on the caller for
 /// workers <= 1). The progress hook fires once per finished component,

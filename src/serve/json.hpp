@@ -96,8 +96,9 @@ inline constexpr std::size_t kJsonMaxDepth = 128;
 /// nesting deeper than kJsonMaxDepth.
 JsonValue json_parse(const std::string& text);
 
-/// JSON string escaping (quotes included), shared by dump() and ad-hoc
-/// error responses.
+/// JSON string escaping (quotes included): the one escaper, shared by
+/// dump(), ad-hoc error responses, the telemetry exporters and the bench
+/// record writer.
 std::string json_quote(const std::string& s);
 
 }  // namespace pgl::serve

@@ -34,8 +34,6 @@ JobRequest parse_request(const JsonValue& submit) {
         try {
             if (key == "backend") {
                 r.backend = v.as_string();
-            } else if (key == "kernel") {
-                r.config.kernel = v.as_string();
             } else if (key == "iters") {
                 r.config.iter_max = checked_uint<std::uint32_t>(v, "iters");
             } else if (key == "schedule_iters") {
@@ -101,7 +99,6 @@ JobRequest parse_request(const JsonValue& submit) {
 JsonValue request_to_json(const JobRequest& r) {
     JsonObject config;
     config["backend"] = JsonValue(r.backend);
-    config["kernel"] = JsonValue(r.config.kernel);
     config["iters"] = JsonValue(std::uint64_t{r.config.iter_max});
     config["schedule_iters"] = JsonValue(std::uint64_t{r.config.schedule_iter_max});
     config["factor"] = JsonValue(r.config.steps_per_iter_factor);

@@ -5,7 +5,7 @@
 //
 // A request carries everything `pgl_layout` would take on its command
 // line: the graph reference plus the full layout configuration (backend,
-// kernel, core::LayoutConfig knobs, partition, multilevel). The canonical
+// core::LayoutConfig knobs, partition, multilevel). The canonical
 // form includes exactly the fields that select the bytes of the finished
 // .lay — so two requests that must produce identical output share one
 // cache entry — and excludes the one pure execution knob,
@@ -23,7 +23,7 @@ namespace pgl::serve {
 struct JobRequest {
     std::string graph;  ///< path to a .gfa or .pgg graph file
     std::string backend = "cpu-soa";
-    core::LayoutConfig config;  ///< kernel/iters/seed/threads/... knobs
+    core::LayoutConfig config;  ///< iters/seed/threads/... knobs
     bool partition = false;
     std::uint32_t component_workers = 1;  ///< execution-only: not in the key
     bool multilevel = false;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/engine.hpp"
-#include "core/kernels/update_kernel.hpp"
 #include "driver/driver.hpp"
 #include "io/pgg_io.hpp"
 #include "telemetry/telemetry.hpp"
@@ -90,9 +89,6 @@ std::uint64_t Server::submit(const JobRequest& r) {
     // the submit, not a worker later.
     if (!core::EngineRegistry::instance().contains(r.backend)) {
         throw std::runtime_error(core::unknown_engine_message(r.backend));
-    }
-    if (!core::KernelRegistry::instance().contains(r.config.kernel)) {
-        throw std::runtime_error("unknown kernel \"" + r.config.kernel + "\"");
     }
     const std::uint64_t graph_fp = graph_fingerprint(r.graph);  // throws if unreadable
     std::error_code ec;

@@ -13,6 +13,8 @@
 #include <mutex>
 #include <vector>
 
+#include "serve/json.hpp"
+
 namespace pgl::telemetry {
 namespace {
 
@@ -24,30 +26,6 @@ std::chrono::steady_clock::time_point process_start() {
 // Touch the epoch at static-init time so concurrent first calls to now_ns()
 // cannot race on the function-local static from multiple threads mid-run.
 const bool epoch_pinned = (process_start(), true);
-
-/// Minimal JSON string escaping for metric/span names (which are
-/// code-controlled, but a stray quote must not corrupt an export).
-std::string jquote(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-    return out;
-}
 
 std::string fmt_double(double v) {
     char buf[32];
@@ -266,10 +244,10 @@ struct TraceEvent {
 
     void append_json(std::string& out) const {
         out += "{\"name\":";
-        out += jquote(name);
+        out += serve::json_quote(name);
         if (!cat.empty()) {
             out += ",\"cat\":";
-            out += jquote(cat);
+            out += serve::json_quote(cat);
         } else {
             out += ",\"cat\":\"pgl\"";
         }
@@ -398,14 +376,14 @@ std::string snapshot_json() {
     for (const auto& [name, v] : counters) {
         if (!first) out += ",";
         first = false;
-        out += jquote(name) + ":" + std::to_string(v);
+        out += serve::json_quote(name) + ":" + std::to_string(v);
     }
     out += "},\"histograms\":{";
     first = true;
     for (const auto& name : hist_names) {
         if (!first) out += ",";
         first = false;
-        out += jquote(name) + ":";
+        out += serve::json_quote(name) + ":";
         append_histogram_json(out, reg.histogram(name));
     }
     out += "}}";

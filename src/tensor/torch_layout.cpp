@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/kernels/update_kernel.hpp"
+#include "core/layout.hpp"
 #include "core/sampling.hpp"
 #include "core/schedule.hpp"
 #include "core/term_batch.hpp"
@@ -17,7 +17,7 @@ using core::End;
 
 /// Flat coordinate index of a node endpoint in the coordinate tensors —
 /// the tensors use the shared XYStore layout ([sx0, ex0, sx1, ...]), so
-/// the scatter indices are exactly the kernel layer's store indices.
+/// the scatter indices are exactly core::apply_batch's store indices.
 std::uint32_t coord_index(std::uint32_t node, End e) {
     return static_cast<std::uint32_t>(core::XYStore::index(node, e));
 }
@@ -162,14 +162,6 @@ public:
     std::string_view name() const noexcept override { return "torch"; }
 
 protected:
-    void do_init() override {
-        // The tensor path models its own gather/scatter kernels and never
-        // drains a batch through an UpdateKernel, but it honors the
-        // engine-wide contract of rejecting an unknown cfg.kernel at
-        // init().
-        core::make_update_kernel(cfg_.kernel);
-    }
-
     core::LayoutResult do_run(const core::LayoutConfig& cfg) override {
         core::ProgressHook hook;
         if (has_progress_hook()) {

@@ -277,8 +277,12 @@ std::vector<PangenomeSpec> whole_genome_spec(std::uint32_t n_components,
         PangenomeSpec s = chromosome_spec(1 + static_cast<int>(k % 24), scale);
         s.seed = mix.next();
         // Components beyond the 24 chromosomes model unplaced contigs of the
-        // same chromosome class; the name stays unique either way.
-        s.name = "c" + std::to_string(k) + "." + s.name;
+        // same chromosome class; the name stays unique either way. (append,
+        // not "c" + std::to_string(k): GCC 12 warns -Wrestrict on that.)
+        s.name = std::string("c")
+                     .append(std::to_string(k))
+                     .append(".")
+                     .append(s.name);
         specs.push_back(std::move(s));
     }
     return specs;

@@ -9,6 +9,9 @@
 #      byte-identical .lay files, with and without --partition.
 #   3. A W-record-only, CRLF-terminated GFA (tests/data/walks_crlf.gfa)
 #      must ingest and lay out end-to-end.
+#   4. A run past the per-run update bound (--factor 1e15 on that 4-node
+#      graph) must exit non-zero at once, name factor/iters and publish no
+#      layout.
 #
 # Expects -DTOOL=<pgl_layout> -DGENERATOR=<whole_genome_layout>
 #         -DDATA=<tests/data dir> -DWORKDIR=<scratch dir>
@@ -124,3 +127,19 @@ if(NOT EXISTS "${WORKDIR}/walks.lay")
   message(FATAL_ERROR "W-only run produced no layout file")
 endif()
 message(STATUS "W-record-only CRLF GFA laid out end-to-end")
+
+# --- 4. a run past the update bound is refused up front ---------------------
+execute_process(
+  COMMAND ${TOOL} -i ${DATA}/walks_crlf.gfa -o ${WORKDIR}/huge.lay
+          --factor 1e15 --iters 1
+  RESULT_VARIABLE rc ERROR_VARIABLE err TIMEOUT 30)
+if(rc EQUAL 0 OR NOT rc MATCHES "^[0-9]+$")
+  message(FATAL_ERROR "--factor 1e15 run was not refused (rc ${rc}): ${err}")
+endif()
+if(NOT err MATCHES "factor" OR NOT err MATCHES "iters")
+  message(FATAL_ERROR "refusal does not name factor/iters; stderr: ${err}")
+endif()
+if(EXISTS "${WORKDIR}/huge.lay")
+  message(FATAL_ERROR "a refused oversized run published a layout")
+endif()
+message(STATUS "oversized run refused: ${err}")

@@ -4,8 +4,9 @@
 #      byte-identical at --component-workers 1/2/4, for cpu-soa and
 #      cpu-pipelined — every component is laid out with the same mixed
 #      per-component seed whichever pool worker takes it.
-#   2. Removed execution flags fail cleanly: `--processes` and `--numa`
-#      exit 2 with "unknown option".
+#   2. Removed flags fail cleanly: `--processes`, `--numa`, `--kernel`
+#      and `--list-kernels` exit 2 with "unknown option" and publish
+#      nothing.
 #
 # Expects -DTOOL=<pgl_layout> -DGENERATOR=<whole_genome_layout>
 #         -DWORKDIR=<scratch dir>
@@ -57,8 +58,8 @@ foreach(backend cpu-soa cpu-pipelined)
   message(STATUS "${backend}: component workers 1/2/4 all byte-identical")
 endforeach()
 
-# --- 2. removed execution flags --------------------------------------------
-foreach(removed "--processes|2" "--numa|auto")
+# --- 2. removed flags ------------------------------------------------------
+foreach(removed "--processes|2" "--numa|auto" "--kernel|simd" "--list-kernels")
   string(REPLACE "|" ";" removed_args "${removed}")
   list(GET removed_args 0 flag)
   execute_process(
@@ -76,4 +77,5 @@ endforeach()
 if(EXISTS ${WORKDIR}/removed.lay)
   message(FATAL_ERROR "a rejected invocation published a layout")
 endif()
-message(STATUS "removed flags --processes/--numa rejected as unknown options")
+message(STATUS "removed flags --processes/--numa/--kernel/--list-kernels "
+               "rejected as unknown options")

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
@@ -425,6 +426,56 @@ TEST(ConfigCheck, EngineInitRejectsOutOfRangeConfig) {
         auto engine = core::make_engine(backend);
         EXPECT_THROW(engine->init(g, cfg), std::invalid_argument) << backend;
     }
+}
+
+TEST(ConfigCheck, RunSizeBoundAdmitsPaperScaleAndRejectsPastIt) {
+    // Paper-default Chr.1 (~5.33e8 path steps at full scale, 30 iterations
+    // x factor 10) and 24 such chromosomes both fit.
+    core::LayoutConfig paper;
+    EXPECT_NO_THROW(core::check_run_size(paper, 533'000'000));
+    EXPECT_NO_THROW(core::check_run_size(paper, 24 * 533'000'000ull));
+    // Exactly at the bound is accepted, one update past it is not.
+    core::LayoutConfig one;
+    one.iter_max = 1;
+    one.steps_per_iter_factor = 1.0;
+    EXPECT_NO_THROW(core::check_run_size(one, core::kMaxRunUpdates));
+    EXPECT_THROW(core::check_run_size(one, core::kMaxRunUpdates + 1),
+                 std::invalid_argument);
+    // iter_max x steps must not wrap around: a saturated step count with
+    // many iterations is still rejected.
+    core::LayoutConfig huge;
+    huge.steps_per_iter_factor = 1e300;
+    huge.iter_max = 1u << 31;
+    EXPECT_THROW(core::check_run_size(huge, 4), std::invalid_argument);
+    core::LayoutConfig none;
+    none.iter_max = 0;
+    none.steps_per_iter_factor = 1e300;
+    EXPECT_NO_THROW(core::check_run_size(none, 4));
+}
+
+TEST(ConfigCheck, EngineInitRejectsARunPastTheBound) {
+    const auto g = small_graph(20, 2);
+    core::LayoutConfig cfg;
+    cfg.iter_max = 1;
+    cfg.steps_per_iter_factor = 1e15;
+    for (const auto& backend : core::EngineRegistry::instance().names()) {
+        auto engine = core::make_engine(backend);
+        try {
+            engine->init(g, cfg);
+            ADD_FAILURE() << backend << " accepted a factor-1e15 run";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("factor"), std::string::npos) << what;
+            EXPECT_NE(what.find("iters"), std::string::npos) << what;
+        }
+    }
+    // A run(iterations) override is held to the same bound.
+    cfg.steps_per_iter_factor =
+        static_cast<double>(core::kMaxRunUpdates) /
+        static_cast<double>(g.total_path_steps());
+    auto engine = core::make_engine("cpu-soa");
+    engine->init(g, cfg);
+    EXPECT_THROW(engine->run(2), std::invalid_argument);
 }
 
 }  // namespace

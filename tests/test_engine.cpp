@@ -7,13 +7,14 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <atomic>
 
+#include "core/apply_batch.hpp"
 #include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
-#include "core/kernels/update_kernel.hpp"
 #include "core/schedule.hpp"
 #include "core/term_batch.hpp"
 #include "core/thread_pool.hpp"
@@ -85,17 +86,6 @@ TEST(EngineRegistry, UnknownNameIsNullAndMakeEngineThrows) {
     EXPECT_EQ(core::EngineRegistry::instance().create("no-such-engine"), nullptr);
     EXPECT_FALSE(core::EngineRegistry::instance().contains("no-such-engine"));
     EXPECT_THROW(core::make_engine("no-such-engine"), std::invalid_argument);
-}
-
-TEST(EngineRegistry, CustomEngineCanBeRegistered) {
-    auto& reg = core::EngineRegistry::instance();
-    reg.add("test-alias", [] {
-        return core::make_cpu_engine(core::CpuLoop::kHogwild);
-    });
-    EXPECT_TRUE(reg.contains("test-alias"));
-    auto engine = reg.create("test-alias");
-    ASSERT_NE(engine, nullptr);
-    EXPECT_EQ(engine->name(), "cpu-soa");
 }
 
 // --- LayoutEngine contract ---
@@ -171,13 +161,12 @@ TEST(LayoutEngine, ProgressHookFiresPerIteration) {
 
 // Replays a 1-thread run the batched way: per iteration, the seed stream
 // fills kBatchSliceTerms-term slices through PairSampler::fill_batch and
-// each slice drains through the named UpdateKernel. The Hogwild loop
-// applies every term as it samples it, so at one thread it must land on
-// exactly these bytes.
+// each slice drains through core::apply_batch (or, with `reference`, the
+// apply_term_slots loop). The Hogwild loop applies every term as it samples
+// it, so at one thread it must land on exactly these bytes.
 core::LayoutResult batched_replay(const graph::LeanGraph& g,
                                   const core::LayoutConfig& cfg,
-                                  const std::string& kernel) {
-    const auto kern = core::make_update_kernel(kernel);
+                                  bool reference) {
     core::LayoutResult r;
     r.eta_schedule = core::make_engine_schedule(
         cfg, static_cast<double>(g.max_path_nuc_length()));
@@ -192,7 +181,13 @@ core::LayoutResult batched_replay(const graph::LeanGraph& g,
                 std::min<std::uint64_t>(core::kBatchSliceTerms, left));
             batch.clear();
             r.skipped += sampler.fill_batch(cfg.cooling(iter), rng, n, batch);
-            kern->apply(batch, r.eta_schedule[iter], store);
+            const double eta = r.eta_schedule[iter];
+            if (reference) {
+                core::apply_term_slots(batch, 0, batch.size(), eta, store.x(),
+                                       store.y());
+            } else {
+                core::apply_batch(batch, eta, store);
+            }
             left -= n;
         }
         r.updates += n_steps;
@@ -202,20 +197,29 @@ core::LayoutResult batched_replay(const graph::LeanGraph& g,
 }
 
 TEST(CpuSoaEngine, BitIdenticalToSingleThreadBatchedReplay) {
-    const auto g = small_graph(300, 5);
-    core::LayoutConfig cfg;
-    cfg.iter_max = 6;
-    cfg.steps_per_iter_factor = 2.0;
-    cfg.threads = 1;
-    cfg.seed = 4242;
+    // The second graph is deliberately tiny (40 nodes) so vector lane
+    // groups regularly hold duplicate endpoints and the conflict fallback
+    // runs inside the replay.
+    const std::pair<const char*, graph::LeanGraph> graphs[] = {
+        {"300-node graph", small_graph(300, 5)},
+        {"40-node graph", small_graph(40, 6, 11)}};
+    for (const auto& [what, g] : graphs) {
+        core::LayoutConfig cfg;
+        cfg.iter_max = 6;
+        cfg.steps_per_iter_factor = 2.0;
+        cfg.threads = 1;
+        cfg.seed = 4242;
 
-    auto engine = core::make_engine("cpu-soa");
-    engine->init(g, cfg);
-    const auto soa = engine->run();
-    expect_same_layout(soa, core::layout_cpu(g, cfg), "layout_cpu wrapper");
-    for (const char* kernel : {"scalar", "simd"}) {
-        expect_same_layout(soa, batched_replay(g, cfg, kernel),
-                           std::string("replay via ") + kernel);
+        auto engine = core::make_engine("cpu-soa");
+        engine->init(g, cfg);
+        const auto soa = engine->run();
+        const std::string where = what;
+        expect_same_layout(soa, core::layout_cpu(g, cfg),
+                           where + ": layout_cpu wrapper");
+        expect_same_layout(soa, batched_replay(g, cfg, true),
+                           where + ": replay via apply_term_slots");
+        expect_same_layout(soa, batched_replay(g, cfg, false),
+                           where + ": replay via apply_batch");
     }
 }
 

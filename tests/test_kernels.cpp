@@ -1,23 +1,21 @@
-// Tests for the pluggable update-kernel layer (core/kernels/): the
-// KernelRegistry contract, the scalar reference kernel, and the SIMD
-// kernel's byte-equivalence — including the lane-group conflict fallback,
-// hole handling and all-invalid batches — plus the engine-level
-// scalar-vs-simd byte-identity every CPU backend promises.
+// Tests for core::apply_batch (core/apply_batch.hpp): the apply_term_slots
+// reference loop, and byte-equivalence of every lane width this CPU
+// supports (AVX2, SSE2, scalar fallback) to it — including the lane-group
+// conflict fallback, intra-term duplicates, coincident points, holes and
+// all-invalid batches.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <set>
 #include <stdexcept>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "core/cpu_engine.hpp"
-#include "core/engine.hpp"
-#include "core/kernels/update_kernel.hpp"
+#include "core/apply_batch.hpp"
 #include "core/sampling.hpp"
 #include "core/term_batch.hpp"
 #include "graph/lean_graph.hpp"
 #include "rng/xoshiro256.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -81,54 +79,9 @@ void expect_stores_identical(const XYStore& a, const XYStore& b) {
     EXPECT_EQ(std::memcmp(a.y(), b.y(), a.coord_count() * sizeof(float)), 0);
 }
 
-void expect_layouts_identical(const core::Layout& a, const core::Layout& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a.start_x[i], b.start_x[i]) << i;
-        ASSERT_EQ(a.start_y[i], b.start_y[i]) << i;
-        ASSERT_EQ(a.end_x[i], b.end_x[i]) << i;
-        ASSERT_EQ(a.end_y[i], b.end_y[i]) << i;
-    }
-}
+// --- apply_term_slots is the chained reference loop ---
 
-// --- Registry ---
-
-TEST(KernelRegistry, ListsBuiltinKernels) {
-    const auto names = core::KernelRegistry::instance().names();
-    const std::set<std::string> have(names.begin(), names.end());
-    EXPECT_TRUE(have.count("scalar"));
-    EXPECT_TRUE(have.count("simd"));
-}
-
-TEST(KernelRegistry, CreateReturnsKernelWithMatchingName) {
-    for (const auto& name : core::KernelRegistry::instance().names()) {
-        auto k = core::KernelRegistry::instance().create(name);
-        ASSERT_NE(k, nullptr) << name;
-        EXPECT_EQ(k->name(), name);
-        EXPECT_FALSE(k->variant().empty()) << name;
-    }
-}
-
-TEST(KernelRegistry, UnknownNameIsNullAndMakeKernelThrows) {
-    EXPECT_EQ(core::KernelRegistry::instance().create("no-such-kernel"), nullptr);
-    EXPECT_FALSE(core::KernelRegistry::instance().contains("no-such-kernel"));
-    EXPECT_THROW(core::make_update_kernel("no-such-kernel"),
-                 std::invalid_argument);
-}
-
-TEST(KernelRegistry, EveryEngineInitRejectsUnknownKernel) {
-    const auto g = small_graph(50, 2);
-    core::LayoutConfig cfg;
-    cfg.kernel = "no-such-kernel";
-    for (const auto& backend : core::EngineRegistry::instance().names()) {
-        auto engine = core::make_engine(backend);
-        EXPECT_THROW(engine->init(g, cfg), std::invalid_argument) << backend;
-    }
-}
-
-// --- Scalar kernel is the reference loop ---
-
-TEST(ScalarKernel, MatchesHandRolledChainedLoop) {
+TEST(ApplyTermSlots, MatchesHandRolledChainedLoop) {
     const auto g = small_graph(150, 3);
     core::LayoutConfig cfg;
     const core::PairSampler sampler(g, cfg);
@@ -139,8 +92,7 @@ TEST(ScalarKernel, MatchesHandRolledChainedLoop) {
     auto store_a = random_store(static_cast<std::uint32_t>(g.node_count()), 1);
     auto store_b = store_a;
 
-    const auto scalar = core::make_update_kernel("scalar");
-    scalar->apply(b, 0.1, store_a);
+    core::apply_term_slots(b, 0, b.size(), 0.1, store_a.x(), store_a.y());
 
     float* x = store_b.x();
     float* y = store_b.y();
@@ -159,30 +111,101 @@ TEST(ScalarKernel, MatchesHandRolledChainedLoop) {
     expect_stores_identical(store_a, store_b);
 }
 
-// --- SIMD kernel byte-equivalence at the batch level ---
+// --- Lane-width dispatch ---
 
-TEST(SimdKernel, MatchesScalarOnSampledBatches) {
+TEST(KernelIsa, DetectedIsaIsTheWidestSupported) {
+    const core::KernelIsa isa = core::detected_kernel_isa();
+    EXPECT_TRUE(core::kernel_isa_supported(isa));
+    EXPECT_TRUE(core::kernel_isa_supported(core::KernelIsa::kScalarFallback));
+#if defined(__x86_64__)
+    EXPECT_TRUE(core::kernel_isa_supported(core::KernelIsa::kSse2));
+    EXPECT_EQ(isa == core::KernelIsa::kAvx2,
+              static_cast<bool>(__builtin_cpu_supports("avx2")));
+#else
+    EXPECT_EQ(isa, core::KernelIsa::kScalarFallback);
+#endif
+    EXPECT_STREQ(core::kernel_isa_name(core::KernelIsa::kAvx2), "avx2");
+    EXPECT_STREQ(core::kernel_isa_name(core::KernelIsa::kSse2), "sse2");
+    EXPECT_STREQ(core::kernel_isa_name(core::KernelIsa::kScalarFallback),
+                 "scalar-fallback");
+}
+
+TEST(KernelIsa, UnsupportedIsaIsRejected) {
+    for (const auto isa : {core::KernelIsa::kSse2, core::KernelIsa::kAvx2}) {
+        if (core::kernel_isa_supported(isa)) continue;
+        TermBatch b;
+        auto store = random_store(4, 1);
+        EXPECT_THROW(core::apply_batch_with(isa, b, 1.0, store),
+                     std::invalid_argument)
+            << core::kernel_isa_name(isa);
+    }
+}
+
+/// Every kernel-level case below runs once per lane width and must match
+/// the apply_term_slots reference byte for byte.
+class ApplyBatchIsa : public ::testing::TestWithParam<core::KernelIsa> {
+protected:
+    void SetUp() override {
+        if (!core::kernel_isa_supported(GetParam())) {
+            GTEST_SKIP() << core::kernel_isa_name(GetParam())
+                         << " is not supported by this CPU";
+        }
+    }
+
+    /// Applies `b` through the reference loop and the parameter's lane
+    /// width, starting from the same store, and compares the bytes.
+    void expect_matches_reference(const TermBatch& b, double eta,
+                                  const XYStore& start) const {
+        auto reference = start;
+        auto lanes = start;
+        core::apply_term_slots(b, 0, b.size(), eta, reference.x(),
+                               reference.y());
+        core::apply_batch_with(GetParam(), b, eta, lanes);
+        expect_stores_identical(reference, lanes);
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneWidths, ApplyBatchIsa,
+    ::testing::Values(core::KernelIsa::kAvx2, core::KernelIsa::kSse2,
+                      core::KernelIsa::kScalarFallback),
+    [](const ::testing::TestParamInfo<core::KernelIsa>& info) {
+        std::string name = core::kernel_isa_name(info.param);
+        for (char& c : name) {
+            if (c == '-') c = '_';
+        }
+        return name;
+    });
+
+TEST_P(ApplyBatchIsa, MatchesReferenceOnSampledBatches) {
     const auto g = small_graph(300, 5);
     core::LayoutConfig cfg;
     const core::PairSampler sampler(g, cfg);
-    const auto scalar = core::make_update_kernel("scalar");
-    const auto simd = core::make_update_kernel("simd");
+    const auto vector_groups =
+        telemetry::Registry::instance().counter("kernel.simd.vector_groups");
+    const std::uint64_t groups_before = vector_groups.value();
 
     rng::Xoshiro256Plus rng(23);
     // Sizes straddle the lane widths: remainders of 1..3 exercise the tail.
     for (const std::size_t n : {1u, 2u, 3u, 5u, 64u, 1021u, 4096u}) {
         TermBatch b;
         sampler.fill_batch(true, rng, n, b);
-        auto store_scalar = random_store(
-            static_cast<std::uint32_t>(g.node_count()), 7 + n);
-        auto store_simd = store_scalar;
-        scalar->apply(b, 0.25, store_scalar);
-        simd->apply(b, 0.25, store_simd);
-        expect_stores_identical(store_scalar, store_simd);
+        expect_matches_reference(
+            b, 0.25,
+            random_store(static_cast<std::uint32_t>(g.node_count()), 7 + n));
     }
+#ifndef PGL_TELEMETRY_DISABLED
+    // The vector widths really ran their lanes on these near-conflict-free
+    // batches, not only the fallback loop.
+    if (GetParam() != core::KernelIsa::kScalarFallback) {
+        EXPECT_GT(vector_groups.value(), groups_before);
+    }
+#else
+    (void)groups_before;
+#endif
 }
 
-TEST(SimdKernel, ConflictGroupsFallBackToChainedOrder) {
+TEST_P(ApplyBatchIsa, ConflictGroupsFallBackToChainedOrder) {
     // Every slot touches node 3 or node 4: any lane grouping (2- or 4-wide)
     // has duplicate coordinates across different slots, so the vector path
     // must detect the conflict and chain — a wrong kernel that gathers
@@ -197,14 +220,10 @@ TEST(SimdKernel, ConflictGroupsFallBackToChainedOrder) {
                   k % 3 ? End::kEnd : End::kStart, 1.0 + (k % 7),
                   core::draw_nudge(rng));
     }
-    auto store_scalar = random_store(16, 2024);
-    auto store_simd = store_scalar;
-    core::make_update_kernel("scalar")->apply(b, 0.5, store_scalar);
-    core::make_update_kernel("simd")->apply(b, 0.5, store_simd);
-    expect_stores_identical(store_scalar, store_simd);
+    expect_matches_reference(b, 0.5, random_store(16, 2024));
 }
 
-TEST(SimdKernel, IntraTermDuplicateEndpointNeedsNoFallback) {
+TEST_P(ApplyBatchIsa, IntraTermDuplicateEndpointNeedsNoFallback) {
     // One term may legally reference the same coordinate twice (two steps
     // of one node, same end — d_ref comes from path positions, not
     // coordinates). The second store must win, exactly as in the scalar
@@ -222,14 +241,10 @@ TEST(SimdKernel, IntraTermDuplicateEndpointNeedsNoFallback) {
                       2.0 + k, core::draw_nudge(rng));
         }
     }
-    auto store_scalar = random_store(128, 31);
-    auto store_simd = store_scalar;
-    core::make_update_kernel("scalar")->apply(b, 0.3, store_scalar);
-    core::make_update_kernel("simd")->apply(b, 0.3, store_simd);
-    expect_stores_identical(store_scalar, store_simd);
+    expect_matches_reference(b, 0.3, random_store(128, 31));
 }
 
-TEST(SimdKernel, CoincidentPointsTakeTheNudgeBranchIdentically) {
+TEST_P(ApplyBatchIsa, CoincidentPointsTakeTheNudgeBranchIdentically) {
     // Terms whose endpoints start at identical coordinates hit the
     // mag < 1e-9 branch; the vector blend must reproduce the scalar's
     // nudge/abs arithmetic bit for bit (including negative nudges).
@@ -241,9 +256,6 @@ TEST(SimdKernel, CoincidentPointsTakeTheNudgeBranchIdentically) {
         l.end_x[i] = 100.0f;
         l.end_y[i] = -3.5f;
     }
-    XYStore store_scalar(l);
-    auto store_simd = store_scalar;
-
     TermBatch b;
     rng::Xoshiro256Plus rng(77);
     for (int k = 0; k < 33; ++k) {
@@ -251,12 +263,10 @@ TEST(SimdKernel, CoincidentPointsTakeTheNudgeBranchIdentically) {
                   static_cast<std::uint32_t>(16 + k % 16), End::kEnd, 10.0,
                   core::draw_nudge(rng));
     }
-    core::make_update_kernel("scalar")->apply(b, 2.0, store_scalar);
-    core::make_update_kernel("simd")->apply(b, 2.0, store_simd);
-    expect_stores_identical(store_scalar, store_simd);
+    expect_matches_reference(b, 2.0, XYStore(l));
 }
 
-TEST(SimdKernel, HolesAreSkippedUntouched) {
+TEST_P(ApplyBatchIsa, HolesAreSkippedUntouched) {
     TermBatch b;
     rng::Xoshiro256Plus rng(13);
     // Holes in every lane position, including a whole group of them.
@@ -270,23 +280,17 @@ TEST(SimdKernel, HolesAreSkippedUntouched) {
         }
     }
     EXPECT_GT(b.invalid_count(), 0u);
-    auto store_scalar = random_store(128, 44);
-    auto store_simd = store_scalar;
-    core::make_update_kernel("scalar")->apply(b, 0.7, store_scalar);
-    core::make_update_kernel("simd")->apply(b, 0.7, store_simd);
-    expect_stores_identical(store_scalar, store_simd);
+    expect_matches_reference(b, 0.7, random_store(128, 44));
 }
 
-TEST(SimdKernel, AllInvalidBatchIsANoOp) {
+TEST_P(ApplyBatchIsa, AllInvalidBatchIsANoOp) {
     TermBatch b;
     for (int k = 0; k < 130; ++k) push_hole(b, static_cast<std::uint32_t>(k % 8));
     EXPECT_EQ(b.invalid_count(), 130u);
     const auto reference = random_store(16, 3);
-    for (const char* name : {"scalar", "simd"}) {
-        auto store = reference;
-        core::make_update_kernel(name)->apply(b, 1.0, store);
-        expect_stores_identical(store, reference);
-    }
+    auto store = reference;
+    core::apply_batch_with(GetParam(), b, 1.0, store);
+    expect_stores_identical(store, reference);
 }
 
 // --- TermBatch running invalid counter (O(1) invalid_count) ---
@@ -322,60 +326,6 @@ TEST(TermBatch, InvalidCountTracksStagedFills) {
         EXPECT_EQ(b.invalid_count(), recount) << round;
         EXPECT_EQ(b.invalid_count(), skipped) << round;
     }
-}
-
-// --- Engine-level byte-identity: --kernel simd == --kernel scalar ---
-
-TEST(KernelEquivalence, CpuEnginesAreByteIdenticalAcrossKernels) {
-    // A deliberately tiny node set so SIMD lane groups regularly contain
-    // duplicate nodes and the conflict path runs inside a real engine loop.
-    // cpu-soa never drains a batch, so its entry checks that both kernel
-    // names are accepted and change nothing.
-    const auto g = small_graph(40, 6, 11);
-    const std::pair<const char*, std::uint32_t> runs[] = {
-        {"cpu-soa", 1u}, {"cpu-pipelined", 1u}, {"cpu-pipelined", 4u}};
-    for (const auto& [backend, threads] : runs) {
-        core::LayoutConfig cfg;
-        cfg.iter_max = 5;
-        cfg.steps_per_iter_factor = 3.0;
-        cfg.threads = threads;
-        cfg.seed = 321;
-
-        cfg.kernel = "scalar";
-        auto scalar_engine = core::make_engine(backend);
-        scalar_engine->init(g, cfg);
-        const auto scalar_run = scalar_engine->run();
-
-        cfg.kernel = "simd";
-        auto simd_engine = core::make_engine(backend);
-        simd_engine->init(g, cfg);
-        const auto simd_run = simd_engine->run();
-
-        SCOPED_TRACE(std::string(backend) + " @ " +
-                     std::to_string(threads) + " threads");
-        expect_layouts_identical(scalar_run.layout, simd_run.layout);
-        EXPECT_EQ(scalar_run.updates, simd_run.updates);
-        EXPECT_EQ(scalar_run.skipped, simd_run.skipped);
-    }
-}
-
-TEST(KernelEquivalence, GpusimHonorsKernelSelectionByteIdentically) {
-    const auto g = small_graph(120, 3);
-    core::LayoutConfig cfg;
-    cfg.iter_max = 2;
-    cfg.steps_per_iter_factor = 0.5;
-
-    cfg.kernel = "scalar";
-    auto scalar_engine = core::make_engine("gpusim-optimized");
-    scalar_engine->init(g, cfg);
-    const auto scalar_run = scalar_engine->run();
-
-    cfg.kernel = "simd";
-    auto simd_engine = core::make_engine("gpusim-optimized");
-    simd_engine->init(g, cfg);
-    const auto simd_run = simd_engine->run();
-
-    expect_layouts_identical(scalar_run.layout, simd_run.layout);
 }
 
 }  // namespace

@@ -352,28 +352,6 @@ TEST(RunPlan, ByteReproducibleOnDeterministicBackends) {
     }
 }
 
-TEST(RunPlan, ScalarAndSimdKernelsMatchBitwise) {
-    const auto g = variant_graph();
-    core::LayoutConfig cfg = quick_config();
-    const auto plan = multilevel::build_plan(
-        cfg, {}, static_cast<double>(g.max_path_nuc_length()));
-
-    core::LayoutConfig scalar_cfg = cfg;
-    scalar_cfg.kernel = "scalar";
-    core::LayoutConfig simd_cfg = cfg;
-    simd_cfg.kernel = "simd";
-    // cpu-soa is the 1-thread survivor; cpu-pipelined drains its batches
-    // through the selected kernel.
-    for (const char* backend : {"cpu-soa", "cpu-pipelined"}) {
-        SCOPED_TRACE(backend);
-        auto e1 = core::make_engine(backend);
-        auto e2 = core::make_engine(backend);
-        const auto a = multilevel::run_plan(plan, g, *e1, scalar_cfg);
-        const auto b = multilevel::run_plan(plan, g, *e2, simd_cfg);
-        expect_layout_bitwise_equal(a.layout, b.layout);
-    }
-}
-
 TEST(RunPlan, TimingsCoverEveryPass) {
     const auto g = variant_graph();
     core::LayoutConfig cfg = quick_config();

@@ -133,9 +133,9 @@ TEST(ServeJson, IntegerAccessorRejectsFractions) {
 TEST(ServeRequest, KeyStableUnderFieldReordering) {
     const serve::JobRequest a = serve::parse_request(serve::json_parse(
         R"({"graph":"g.gfa","config":{"backend":"cpu-soa","iters":7,)"
-        R"("seed":42,"kernel":"simd","threads":2}})"));
+        R"("seed":42,"factor":2.5,"threads":2}})"));
     const serve::JobRequest b = serve::parse_request(serve::json_parse(
-        R"({"config":{"threads":2,"kernel":"simd","seed":42,)"
+        R"({"config":{"threads":2,"factor":2.5,"seed":42,)"
         R"("iters":7,"backend":"cpu-soa"},"graph":"g.gfa"})"));
     EXPECT_EQ(serve::canonical_request(a), serve::canonical_request(b));
 }
@@ -145,7 +145,6 @@ TEST(ServeRequest, EveryKnobChangesTheKey) {
         serve::parse_request(serve::json_parse(R"({"graph":"g.gfa"})")));
     const char* variants[] = {
         R"({"graph":"g.gfa","config":{"backend":"cpu-pipelined"}})",
-        R"({"graph":"g.gfa","config":{"kernel":"simd"}})",
         R"({"graph":"g.gfa","config":{"iters":31}})",
         R"({"graph":"g.gfa","config":{"seed":1}})",
         R"({"graph":"g.gfa","config":{"threads":2}})",
@@ -181,9 +180,10 @@ TEST(ServeRequest, ExecutionOnlyKnobsDoNotChangeTheKey) {
 }
 
 TEST(ServeRequest, RemovedExecutionKnobsAreUnknownKeys) {
-    // Keys of execution knobs pgl no longer has fall through to the
-    // generic unknown-key rejection, like any misspelled key.
-    for (const char* key : {"executor", "processes", "pin", "numa"}) {
+    // Keys of knobs pgl no longer has — the execution knobs and the update
+    // kernel choice, which selected no bytes — fall through to the generic
+    // unknown-key rejection, like any misspelled key.
+    for (const char* key : {"executor", "processes", "pin", "numa", "kernel"}) {
         try {
             serve::parse_request(serve::json_parse(
                 std::string(R"({"graph":"g","config":{")") + key +
@@ -469,12 +469,36 @@ TEST(ServeServer, InvalidRequestsFailTheSubmitNotTheWorker) {
     server.start();
     serve::JobRequest bad_backend = mini_request(gfa, "cpu-nope");
     EXPECT_THROW(server.submit(bad_backend), std::runtime_error);
-    serve::JobRequest bad_kernel = mini_request(gfa);
-    bad_kernel.config.kernel = "avx1024";
-    EXPECT_THROW(server.submit(bad_kernel), std::runtime_error);
+    // A request naming an update kernel never reaches submit: the parser
+    // rejects the key.
+    EXPECT_THROW(serve::parse_request(serve::json_parse(
+                     R"({"graph":"g","config":{"kernel":"simd"}})")),
+                 std::runtime_error);
     serve::JobRequest bad_graph = mini_request(dir + "/missing.gfa");
     EXPECT_THROW(server.submit(bad_graph), std::runtime_error);
     EXPECT_EQ(server.stats().submitted, 0u);
+    server.shutdown();
+}
+
+TEST(ServeServer, OversizedRunFailsInsteadOfHoldingAWorker) {
+    // factor 1e15 on a tiny graph passes check_config but asks for ~1e16
+    // updates; engine init rejects it, so the job fails at once and frees
+    // its worker for the next job.
+    const std::string dir = scratch_dir("oversized");
+    const std::string gfa = write_mini_gfa(dir);
+    serve::ServerOptions opt;
+    opt.cache_dir = dir + "/cache";
+    opt.workers = 1;
+    serve::Server server(opt);
+    server.start();
+    serve::JobRequest huge = mini_request(gfa);
+    huge.config.iter_max = 1;
+    huge.config.steps_per_iter_factor = 1e15;
+    const serve::JobStatus failed = server.wait(server.submit(huge));
+    EXPECT_EQ(failed.state, serve::JobState::kFailed);
+    EXPECT_NE(failed.error.find("factor"), std::string::npos) << failed.error;
+    const serve::JobStatus next = server.wait(server.submit(mini_request(gfa)));
+    EXPECT_EQ(next.state, serve::JobState::kDone) << next.error;
     server.shutdown();
 }
 

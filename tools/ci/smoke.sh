@@ -1,25 +1,24 @@
 #!/usr/bin/env bash
 # Matrix-style smoke driver for CI: one script, one suite per argument,
-# replacing the per-backend / per-kernel / ingest / multilevel loops that
+# replacing the per-backend / ingest / multilevel loops that
 # used to be copy-pasted across ci.yml steps.
 #
 #   tools/ci/smoke.sh BUILD_DIR SUITE [SUITE...]
 #
 # Suites:
 #   backends    every registered backend: bench smoke + partitioned CLI run
-#   kernels     every backend x every update kernel, scalar-vs-simd cmp
 #   ingest      GFA -> .pgg cache -> byte-identical partitioned layout
 #   multilevel  --multilevel reaches flat stress in less SGD wall-clock
 #   telemetry   --trace writes valid JSON with nonzero engine counters
 #
 # The listing contract is strict on purpose: an empty or failing
-# `--list-backends` / `--list-kernels` fails the suite, never silently
+# `--list-backends` fails the suite, never silently
 # runs zero iterations. Workdir defaults to /tmp (override with WORKDIR).
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
     echo "usage: $0 BUILD_DIR SUITE [SUITE...]" >&2
-    echo "suites: backends kernels ingest multilevel telemetry" >&2
+    echo "suites: backends ingest multilevel telemetry" >&2
     exit 2
 fi
 
@@ -37,14 +36,7 @@ list_backends() {
     echo "${out}"
 }
 
-list_kernels() {
-    local out
-    out="$("${PGL}" --list-kernels)"
-    test -n "${out}"
-    echo "${out}"
-}
-
-# Multi-component GFA shared by the backends/kernels/ingest suites;
+# Multi-component GFA shared by the backends/ingest suites;
 # generated once per script run.
 ensure_genome() {
     if [ ! -f "${GENOME}" ]; then
@@ -63,33 +55,6 @@ suite_backends() {
         "${PGL}" -i "${GENOME}" -o "${WORKDIR}/${backend}.lay" \
             --partition --backend "${backend}" --component-workers 2 \
             --iters 3 --factor 0.5 --timing
-        echo "::endgroup::"
-    done
-}
-
-suite_kernels() {
-    ensure_genome
-    local backends kernels
-    backends="$(list_backends)"
-    kernels="$(list_kernels)"
-    echo "registered kernels:" ${kernels}
-    for backend in ${backends}; do
-        echo "::group::${backend} kernels"
-        # Every backend must accept every registered update kernel; scalar
-        # and simd runs of the same backend must agree byte for byte (the
-        # kernel-equivalence contract, checked end to end through the CLI).
-        for kernel in ${kernels}; do
-            "${PGL}" -i "${GENOME}" \
-                -o "${WORKDIR}/${backend}.${kernel}.lay" \
-                --backend "${backend}" --kernel "${kernel}" \
-                --iters 3 --factor 0.5 --threads 2
-        done
-        # The Hogwild cpu-soa engine is nondeterministic with threads > 1,
-        # so the byte contract is asserted on the deterministic backends.
-        if [ "${backend}" != "cpu-soa" ]; then
-            cmp "${WORKDIR}/${backend}.scalar.lay" \
-                "${WORKDIR}/${backend}.simd.lay"
-        fi
         echo "::endgroup::"
     done
 }
@@ -188,7 +153,6 @@ EOF
 for suite in "$@"; do
     case "${suite}" in
         backends) suite_backends ;;
-        kernels) suite_kernels ;;
         ingest) suite_ingest ;;
         multilevel) suite_multilevel ;;
         telemetry) suite_telemetry ;;

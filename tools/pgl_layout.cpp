@@ -6,7 +6,7 @@
 // uses.
 //
 //   pgl-layout -i graph.gfa|graph.pgg -o graph.lay
-//              [--backend NAME | --gpu[=a6000|a100]] [--kernel NAME]
+//              [--backend NAME | --gpu[=a6000|a100]]
 //              [--iters N] [--factor F] [--threads N] [--seed N]
 //              [--save-graph FILE.pgg] [--load-graph FILE.pgg]
 //              [--partition] [--component-workers N]
@@ -14,7 +14,7 @@
 //              [--multilevel[=LEVELS]] [--refine-iters N] [--exact-tail]
 //              [--svg out.svg] [--ppm out.ppm] [--stress]
 //              [--progress] [--timing] [--trace out.json]
-//              [--list-backends] [--list-kernels]
+//              [--list-backends]
 //
 // Ingestion streams GFA 1.0/1.1 (S/L/P/W records, CRLF tolerant) through
 // the one GFA reader straight into the engine-ready LeanGraph, with
@@ -35,7 +35,6 @@
 
 #include "cli_common.hpp"
 #include "core/engine.hpp"
-#include "core/kernels/update_kernel.hpp"
 #include "driver/driver.hpp"
 #include "gpusim/gpu_machine.hpp"
 #include "gpusim/gpu_spec.hpp"
@@ -47,8 +46,6 @@ void usage(const char* argv0) {
     std::cerr
         << "usage: " << argv0 << " -i graph.gfa|graph.pgg -o layout.lay [options]\n"
         << "  --backend NAME      run a registered engine (see --list-backends)\n"
-        << "  --kernel NAME       update kernel for batch-applying engines\n"
-        << "                      (see --list-kernels; default scalar)\n"
         << "  --gpu[=a6000|a100]  alias for the optimized simulated GPU\n"
         << "  --iters N           SGD iterations (default 30)\n"
         << "  --factor F          updates per iteration = F x total steps (default 10)\n"
@@ -77,8 +74,7 @@ void usage(const char* argv0) {
         << "  --timing            print a per-stage wall-clock summary to stderr\n"
         << "  --trace FILE        write a Chrome trace-event JSON of the run\n"
         << "                      (load in chrome://tracing or Perfetto)\n"
-        << "  --list-backends     list registered engines and exit\n"
-        << "  --list-kernels      list registered update kernels and exit\n";
+        << "  --list-backends     list registered engines and exit\n";
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -95,20 +91,13 @@ int main(int argc, char** argv) {
     std::string in_path, gpu_name, load_graph_path, trace_path;
     bool report_stress = false, progress = false, timing = false;
 
-    // CI's smoke loops consume the `--list-backends` / `--list-kernels`
-    // output verbatim (`for x in $(pgl_layout --list-...)`), so the contract
-    // is strict: exit 0, one registered name per line on stdout, nothing
-    // else. Handle them before any other parsing so no other flag can
-    // corrupt the listing.
+    // CI's smoke loops consume the `--list-backends` output verbatim
+    // (`for b in $(pgl_layout --list-backends)`), so the contract is strict:
+    // exit 0, one registered name per line on stdout, nothing else. Handle
+    // it before any other parsing so no other flag can corrupt the listing.
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--list-backends") {
             for (const auto& n : core::EngineRegistry::instance().names()) {
-                std::cout << n << "\n";
-            }
-            return 0;
-        }
-        if (std::string(argv[i]) == "--list-kernels") {
-            for (const auto& n : core::KernelRegistry::instance().names()) {
                 std::cout << n << "\n";
             }
             return 0;
@@ -139,8 +128,6 @@ int main(int argc, char** argv) {
                           << "\" (expected a6000 or a100)\n";
                 return 2;
             }
-        } else if (arg == "--kernel") {
-            req.config.kernel = next();
         } else if (arg == "--iters") {
             req.config.iter_max = cli::parse_int_or_die<std::uint32_t>(arg, next());
         } else if (arg == "--factor") {
@@ -226,15 +213,6 @@ int main(int argc, char** argv) {
         return 2;
     }
     if (req.backend.empty()) req.backend = "cpu-soa";
-    if (!core::KernelRegistry::instance().contains(req.config.kernel)) {
-        std::cerr << "unknown update kernel \"" << req.config.kernel
-                  << "\"; available:";
-        for (const auto& n : core::KernelRegistry::instance().names()) {
-            std::cerr << " " << n;
-        }
-        std::cerr << "\n";
-        return 2;
-    }
     if (req.partition && gpu_name == "a100") {
         // The a100 variant is constructed with a non-default machine spec,
         // not through the registry the scheduler draws engines from.

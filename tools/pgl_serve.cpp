@@ -18,8 +18,8 @@
 //   pgl-serve request  --socket S JSON      (raw protocol escape hatch)
 //
 // `submit` accepts the same layout vocabulary as pgl_layout: --backend,
-// --kernel, --iters, --factor, --threads, --seed, --partition,
-// --component-workers, --multilevel[=LEVELS], --refine-iters, --exact-tail.
+// --iters, --factor, --threads, --seed, --partition, --component-workers,
+// --multilevel[=LEVELS], --refine-iters, --exact-tail.
 // With --wait it blocks until the job is terminal, copies the artifact to
 // -o if given, prints the final response JSON on stdout, and exits 0 only
 // for state "done".
@@ -56,7 +56,7 @@ void usage(const char* argv0) {
         << "    --trace FILE        write a Chrome trace of the daemon's\n"
         << "                        lifetime (job spans + queue waits) on exit\n"
         << "  submit    submit a layout job\n"
-        << "    --socket PATH --graph FILE [--backend NAME] [--kernel NAME]\n"
+        << "    --socket PATH --graph FILE [--backend NAME]\n"
         << "    [--iters N] [--factor F] [--threads N] [--seed N]\n"
         << "    [--partition] [--component-workers N]\n"
         << "    [--multilevel[=LEVELS]] [--refine-iters N] [--exact-tail]\n"
@@ -155,8 +155,6 @@ int cmd_submit(int argc, char** argv) {
             wait = true;
         } else if (arg == "--backend") {
             config["backend"] = JsonValue(std::string(next()));
-        } else if (arg == "--kernel") {
-            config["kernel"] = JsonValue(std::string(next()));
         } else if (arg == "--iters") {
             config["iters"] =
                 JsonValue(parse_int_or_die<std::uint64_t>(arg, next()));
