@@ -1,8 +1,7 @@
 // bench_kernels — apply-side microbenchmark: the apply_term_slots reference
-// loop ("scalar") and core::apply_batch ("simd", at the detected lane
-// width) drain identical TermBatches into an XYStore, swept across batch
-// sizes and conflict densities. Narrower lane widths this CPU also
-// supports are timed through apply_batch_with as table-only rows.
+// loop ("scalar") and core::apply_batch ("simd", on the path detected for
+// this CPU) drain identical TermBatches into an XYStore, swept across
+// batch sizes and conflict densities.
 //
 //   ./bench_kernels [--scale F] [--seed N] [--quick] [--json FILE]
 //
@@ -104,33 +103,23 @@ int main(int argc, char** argv) {
     const std::uint64_t target_terms = opt.quick ? 2'000'000 : 8'000'000;
     const std::uint32_t window = static_cast<std::uint32_t>(
         std::min<std::size_t>(48, std::max<std::size_t>(2, g.node_count())));
-    // Timed rows per cell: the reference loop, apply_batch at the detected
-    // width, then every narrower width this CPU supports (table only).
+    // Timed rows per cell: the reference loop, then apply_batch on the
+    // detected path.
     struct Row {
         std::string name;
         std::string variant;
-        bool record;
         std::function<void(const TermBatch&, double, XYStore&)> apply;
     };
-    const core::KernelIsa detected = core::detected_kernel_isa();
-    std::vector<Row> rows = {
-        {"scalar", "apply_term_slots", true,
+    const std::vector<Row> rows = {
+        {"scalar", "apply_term_slots",
          [](const TermBatch& b, double eta, XYStore& s) {
              core::apply_term_slots(b, 0, b.size(), eta, s.x(), s.y());
          }},
-        {"simd", core::kernel_isa_name(detected), true,
+        {"simd", core::kernel_isa_name(core::detected_kernel_isa()),
          [](const TermBatch& b, double eta, XYStore& s) {
              core::apply_batch(b, eta, s);
          }},
     };
-    for (const core::KernelIsa isa :
-         {core::KernelIsa::kSse2, core::KernelIsa::kScalarFallback}) {
-        if (isa >= detected) continue;
-        rows.push_back({"simd", core::kernel_isa_name(isa), false,
-                        [isa](const TermBatch& b, double eta, XYStore& s) {
-                            core::apply_batch_with(isa, b, eta, s);
-                        }});
-    }
 
     bench::TablePrinter table(
         {"Apply", "Variant", "Terms", "Batch", "Conf4", "Mupd/s", "vs scalar"},
@@ -138,8 +127,8 @@ int main(int argc, char** argv) {
     table.print_header(std::cout);
 
     bench::JsonReporter json(opt.json_path);
-    // (name, population, batch) -> updates/sec of the recorded rows; scalar
-    // rows feed the ratio column and the end-of-run simd summary.
+    // (name, population, batch) -> updates/sec; scalar rows feed the ratio
+    // column and the end-of-run simd summary.
     std::map<std::tuple<std::string, std::string, std::size_t>, double> rate;
     const auto scalar_base = [&](const std::string& population,
                                  std::size_t n) {
@@ -176,7 +165,7 @@ int main(int argc, char** argv) {
                     seconds > 0.0 ? static_cast<double>(valid_terms * reps) /
                                         seconds
                                   : 0.0;
-                if (row.record) rate[{row.name, population, n}] = ups;
+                rate[{row.name, population, n}] = ups;
                 const double base = scalar_base(population, n);
                 table.print_row(
                     std::cout,
@@ -185,7 +174,6 @@ int main(int argc, char** argv) {
                      bench::fmt(ups / 1e6, 2),
                      base > 0.0 ? bench::fmt(ups / base, 2) + "x" : "-"});
 
-                if (!row.record) continue;
                 core::LayoutResult r;
                 r.seconds = seconds;
                 r.updates = valid_terms * reps;

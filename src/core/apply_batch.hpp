@@ -1,9 +1,9 @@
 #pragma once
 // The apply half of the batched term pipeline: one function drains a
 // TermBatch into the flat XYStore coordinate arrays. apply_batch picks its
-// lane width once per process from the CPU it runs on (AVX2, else SSE2 on
-// x86-64, else the scalar loop) — a platform fact, not a user option, and
-// every choice writes the same bytes.
+// path once per process from the CPU it runs on (4-wide AVX2 lanes, else
+// the scalar loop) — a platform fact, not a user option, and both write
+// the same bytes.
 //
 // Determinism contract (it is what the pipelined engine's fixed-(seed,
 // threads) byte-reproducibility — and the partition scheduler's
@@ -12,8 +12,8 @@
 //     earlier term of the same batch already wrote ("chained" updates);
 //   * slots with valid == 0 are holes and must be skipped untouched;
 //   * the arithmetic is the shared step_math term, evaluated with IEEE
-//     operations only (no FMA contraction, no reassociation), so every
-//     lane width produces the bytes of apply_term_slots.
+//     operations only (no FMA contraction, no reassociation), so the AVX2
+//     lanes produce the bytes of apply_term_slots.
 #include <cstddef>
 #include <cstdint>
 
@@ -25,9 +25,9 @@ namespace pgl::core {
 
 /// Applies slots [begin, end) one term at a time, in slot order, against
 /// raw coordinate arrays (XYStore layout: element 2*node + end). This is
-/// the reference semantics every lane width is tested against, and the
-/// loop the vector paths fall back to for conflicting lane groups and
-/// tails.
+/// the reference semantics the AVX2 path is tested against, the loop it
+/// falls back to for conflicting lane groups and tails, and the whole
+/// apply on a CPU without AVX2.
 inline void apply_term_slots(const TermBatch& b, std::size_t begin,
                              std::size_t end, double eta, float* x,
                              float* y) noexcept {
@@ -48,25 +48,26 @@ inline void apply_term_slots(const TermBatch& b, std::size_t begin,
     }
 }
 
-/// The lane widths apply_batch can run with.
-enum class KernelIsa : std::uint8_t { kScalarFallback, kSse2, kAvx2 };
+/// The paths apply_batch can run: the apply_term_slots loop or AVX2 lanes.
+enum class KernelIsa : std::uint8_t { kScalarFallback, kAvx2 };
 
-/// The widest lane width this CPU supports; detected once per process.
+/// kAvx2 when this CPU supports AVX2, else kScalarFallback; detected once
+/// per process.
 KernelIsa detected_kernel_isa() noexcept;
 
 /// True when `isa` can run on this CPU.
 bool kernel_isa_supported(KernelIsa isa) noexcept;
 
-/// "avx2", "sse2" or "scalar-fallback".
+/// "avx2" or "scalar-fallback".
 const char* kernel_isa_name(KernelIsa isa) noexcept;
 
-/// Applies every valid term of the batch to the store, in slot order, with
-/// the detected lane width. Feeds the `kernel.simd.*` telemetry counters.
+/// Applies every valid term of the batch to the store, in slot order, on
+/// the detected path. Feeds the `kernel.simd.*` telemetry counters.
 void apply_batch(const TermBatch& b, double eta, XYStore& store);
 
-/// apply_batch with a given lane width, so tests and benches can run every
-/// width this CPU supports. Throws std::invalid_argument for one it does
-/// not (kernel_isa_supported).
+/// apply_batch on a given path, so tests can run both on an AVX2 CPU.
+/// Throws std::invalid_argument for one this CPU does not support
+/// (kernel_isa_supported).
 void apply_batch_with(KernelIsa isa, const TermBatch& b, double eta,
                       XYStore& store);
 

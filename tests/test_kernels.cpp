@@ -1,8 +1,8 @@
 // Tests for core::apply_batch (core/apply_batch.hpp): the apply_term_slots
-// reference loop, and byte-equivalence of every lane width this CPU
-// supports (AVX2, SSE2, scalar fallback) to it — including the lane-group
-// conflict fallback, intra-term duplicates, coincident points, holes and
-// all-invalid batches.
+// reference loop, and byte-equivalence of both apply paths (AVX2 where the
+// CPU supports it, and the scalar fallback) to it — including the
+// lane-group conflict fallback, intra-term duplicates, coincident points,
+// holes and all-invalid batches.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -111,37 +111,34 @@ TEST(ApplyTermSlots, MatchesHandRolledChainedLoop) {
     expect_stores_identical(store_a, store_b);
 }
 
-// --- Lane-width dispatch ---
+// --- Path dispatch ---
 
-TEST(KernelIsa, DetectedIsaIsTheWidestSupported) {
+TEST(KernelIsa, DetectedIsaFollowsTheCpu) {
     const core::KernelIsa isa = core::detected_kernel_isa();
     EXPECT_TRUE(core::kernel_isa_supported(isa));
     EXPECT_TRUE(core::kernel_isa_supported(core::KernelIsa::kScalarFallback));
 #if defined(__x86_64__)
-    EXPECT_TRUE(core::kernel_isa_supported(core::KernelIsa::kSse2));
     EXPECT_EQ(isa == core::KernelIsa::kAvx2,
               static_cast<bool>(__builtin_cpu_supports("avx2")));
 #else
     EXPECT_EQ(isa, core::KernelIsa::kScalarFallback);
 #endif
     EXPECT_STREQ(core::kernel_isa_name(core::KernelIsa::kAvx2), "avx2");
-    EXPECT_STREQ(core::kernel_isa_name(core::KernelIsa::kSse2), "sse2");
     EXPECT_STREQ(core::kernel_isa_name(core::KernelIsa::kScalarFallback),
                  "scalar-fallback");
 }
 
 TEST(KernelIsa, UnsupportedIsaIsRejected) {
-    for (const auto isa : {core::KernelIsa::kSse2, core::KernelIsa::kAvx2}) {
-        if (core::kernel_isa_supported(isa)) continue;
-        TermBatch b;
-        auto store = random_store(4, 1);
-        EXPECT_THROW(core::apply_batch_with(isa, b, 1.0, store),
-                     std::invalid_argument)
-            << core::kernel_isa_name(isa);
+    if (core::kernel_isa_supported(core::KernelIsa::kAvx2)) {
+        GTEST_SKIP() << "this CPU supports every path";
     }
+    TermBatch b;
+    auto store = random_store(4, 1);
+    EXPECT_THROW(core::apply_batch_with(core::KernelIsa::kAvx2, b, 1.0, store),
+                 std::invalid_argument);
 }
 
-/// Every kernel-level case below runs once per lane width and must match
+/// Every kernel-level case below runs once per apply path and must match
 /// the apply_term_slots reference byte for byte.
 class ApplyBatchIsa : public ::testing::TestWithParam<core::KernelIsa> {
 protected:
@@ -152,8 +149,8 @@ protected:
         }
     }
 
-    /// Applies `b` through the reference loop and the parameter's lane
-    /// width, starting from the same store, and compares the bytes.
+    /// Applies `b` through the reference loop and the parameter's path,
+    /// starting from the same store, and compares the bytes.
     void expect_matches_reference(const TermBatch& b, double eta,
                                   const XYStore& start) const {
         auto reference = start;
@@ -167,8 +164,7 @@ protected:
 
 INSTANTIATE_TEST_SUITE_P(
     LaneWidths, ApplyBatchIsa,
-    ::testing::Values(core::KernelIsa::kAvx2, core::KernelIsa::kSse2,
-                      core::KernelIsa::kScalarFallback),
+    ::testing::Values(core::KernelIsa::kAvx2, core::KernelIsa::kScalarFallback),
     [](const ::testing::TestParamInfo<core::KernelIsa>& info) {
         std::string name = core::kernel_isa_name(info.param);
         for (char& c : name) {
@@ -186,7 +182,7 @@ TEST_P(ApplyBatchIsa, MatchesReferenceOnSampledBatches) {
     const std::uint64_t groups_before = vector_groups.value();
 
     rng::Xoshiro256Plus rng(23);
-    // Sizes straddle the lane widths: remainders of 1..3 exercise the tail.
+    // Sizes straddle the lane width: remainders of 1..3 exercise the tail.
     for (const std::size_t n : {1u, 2u, 3u, 5u, 64u, 1021u, 4096u}) {
         TermBatch b;
         sampler.fill_batch(true, rng, n, b);
@@ -195,7 +191,7 @@ TEST_P(ApplyBatchIsa, MatchesReferenceOnSampledBatches) {
             random_store(static_cast<std::uint32_t>(g.node_count()), 7 + n));
     }
 #ifndef PGL_TELEMETRY_DISABLED
-    // The vector widths really ran their lanes on these near-conflict-free
+    // The AVX2 path really ran its lanes on these near-conflict-free
     // batches, not only the fallback loop.
     if (GetParam() != core::KernelIsa::kScalarFallback) {
         EXPECT_GT(vector_groups.value(), groups_before);
@@ -206,8 +202,7 @@ TEST_P(ApplyBatchIsa, MatchesReferenceOnSampledBatches) {
 }
 
 TEST_P(ApplyBatchIsa, ConflictGroupsFallBackToChainedOrder) {
-    // Every slot touches node 3 or node 4: any lane grouping (2- or 4-wide)
-    // has duplicate coordinates across different slots, so the vector path
+    // Every slot touches node 3 or node 4: every 4-wide lane group has duplicate coordinates across different slots, so the vector path
     // must detect the conflict and chain — a wrong kernel that gathers
     // stale coordinates diverges immediately because the terms are designed
     // to move the same points repeatedly.

@@ -469,11 +469,6 @@ TEST(ServeServer, InvalidRequestsFailTheSubmitNotTheWorker) {
     server.start();
     serve::JobRequest bad_backend = mini_request(gfa, "cpu-nope");
     EXPECT_THROW(server.submit(bad_backend), std::runtime_error);
-    // A request naming an update kernel never reaches submit: the parser
-    // rejects the key.
-    EXPECT_THROW(serve::parse_request(serve::json_parse(
-                     R"({"graph":"g","config":{"kernel":"simd"}})")),
-                 std::runtime_error);
     serve::JobRequest bad_graph = mini_request(dir + "/missing.gfa");
     EXPECT_THROW(server.submit(bad_graph), std::runtime_error);
     EXPECT_EQ(server.stats().submitted, 0u);
